@@ -4,10 +4,12 @@ Measures the win of the bound distance kernel over the historical
 recompute-everything path (reproduced inline as the reference): the
 legacy loop recomputed the test-side squared norms and took the square
 root of the full test-by-batch distance matrix on EVERY ``partial_fit``
-call, both pure overhead for a 1NN argmin.  The comparison runs at
-**float64**, so the recorded speedup is attributable to bind-once norm
-caching and deferred sqrt alone — and the 1NN error curve is asserted
-identical.  A float32 row records the additional single-precision gain.
+call, both pure overhead for a 1NN argmin, and formed the distance
+block in several full passes where the kernel's fused block makes one.
+The comparison runs at **float64**, so the recorded speedup is
+attributable to bind-once norm caching, deferred sqrt and the fused
+block alone — and the 1NN error curve is asserted identical.  A float32
+row records the additional single-precision gain.
 
 The relative win grows as pulls get smaller (the recomputed test-norm
 term is amortized over fewer batch rows), so the benchmark sweeps the
@@ -147,7 +149,7 @@ def test_progressive_throughput(benchmark):
         rows,
         title=(
             f"ProgressiveOneNN partial_fit: test={N_TEST}, d={DIM}, "
-            f"train={N_TRAIN} (f64 speedup = bind-once caching alone; "
+            f"train={N_TRAIN} (f64 speedup = bind-once caching + fused block; "
             f"errors identical)"
         ),
     )

@@ -24,10 +24,31 @@ throughput from:
   historical paths).  Outputs (distances) are returned as ``float64``
   regardless, so downstream reporting is dtype-stable.
 - **Fused blocked primitives.**  :meth:`DistanceKernel.nearest_among`
-  and :meth:`DistanceKernel.topk` block the scan and select winners per
-  block, so a full query-by-corpus distance matrix is never
-  materialized, and the monotone ``sqrt`` of the euclidean metric is
-  applied to the winners only — never to a full block.
+  and :meth:`DistanceKernel.topk` block the scan, so a full
+  query-by-corpus distance matrix is never materialized.  Each block is
+  one GEMM and one selection pass:
+
+  1. The GEMM runs with the changing side pre-scaled by ``-2`` for
+     euclidean (a power of two, so the product is exactly ``-2ab``) or
+     on pre-normalized rows for cosine.  The block product is the only
+     block-sized buffer.
+  2. One pass over row chunks of the product, each small enough to stay
+     in cache (:data:`_CHUNK_BYTES`), forms the selection key and picks
+     the winners: euclidean adds the column-side squared norms and
+     takes the smallest ``|b|^2 - 2ab``; cosine takes the largest
+     similarity as it is.  The row-side constant ``|a|^2`` and the clamp
+     at zero cannot reorder a row, so they are left out.
+  3. Only the winners' comparables are computed, with the full formula
+     (``|a|^2 + |b|^2 - 2ab`` clamped at zero, or ``1 - clip(cos)``)
+     from the kept GEMM entries, so returned values are bit-identical to
+     the unfused expansion.  The monotone ``sqrt`` of the euclidean
+     metric is likewise applied to the winners only.
+
+  Winners can differ from the unfused expansion only between candidates
+  whose comparables lie within one rounding step of each other.  Exact
+  ties go to the earliest row: :meth:`~DistanceKernel.nearest_among`
+  and :meth:`~DistanceKernel.topk` at ``k = 1`` select with
+  ``argmin``/``argmax``, which return the first extremum.
 
 Internally the kernels compare *comparable* values — squared distances
 for euclidean, the dissimilarity itself for cosine — which order
@@ -54,6 +75,12 @@ VALID_COMPUTE_DTYPES = ("float32", "float64")
 DEFAULT_COMPUTE_DTYPE = "float32"
 
 _EPS = 1e-12
+
+#: Byte budget of one row chunk of a block's GEMM product in the
+#: selection pass, and of the per-call scratch the euclidean key is
+#: written to: small enough that a chunk stays in cache between forming
+#: its key, selecting on it and gathering the winners.
+_CHUNK_BYTES = 512 * 1024
 
 
 def resolve_dtype(dtype) -> np.dtype:
@@ -146,6 +173,38 @@ class DistanceKernel(ABC):
         euclidean distance, or the cosine dissimilarity itself.
         """
 
+    #: Whether the selection key of :meth:`_select_key` is maximized
+    #: (cosine similarity) rather than minimized (euclidean).
+    _largest: bool = False
+
+    @abstractmethod
+    def _operands(self, other, other_state) -> tuple[np.ndarray, np.ndarray]:
+        """The GEMM operands ``(bound side, other side)`` of a block.
+
+        The other side is the one that changes between calls, so any
+        scaling of the product is applied to it.
+        """
+
+    @abstractmethod
+    def _select_key(self, product, row_state, col_state, out) -> np.ndarray:
+        """Selection key of a row chunk of a block's GEMM ``product``.
+
+        Ranks each row's columns as the comparables do, up to rounding:
+        ascending, or descending if :attr:`_largest`.  It may be written
+        to ``out``, a scratch array of the chunk's shape.  ``row_state``
+        is the chunk rows' state, ``col_state`` the whole block's column
+        state.
+        """
+
+    @abstractmethod
+    def _comparables(self, entries, row_state, col_state, idx) -> np.ndarray:
+        """Exact comparables of the winners ``idx`` of each product row.
+
+        ``entries`` are the winners' GEMM entries, gathered from the
+        product after :meth:`_select_key` saw it; the arithmetic is
+        :meth:`_cross`'s, so the values are bit-identical to it.
+        """
+
     @abstractmethod
     def to_distance(self, comparable: np.ndarray) -> np.ndarray:
         """Map comparable values to true distances (new float64 array)."""
@@ -192,28 +251,63 @@ class DistanceKernel(ABC):
 
         ``other`` is scanned in blocks of ``block_size`` rows, so memory
         stays bounded by ``num_bound * block_size`` values.  Ties are
-        broken toward the earliest ``other`` row (strict improvement),
-        matching the historical blocked-argmin semantics.
+        broken toward the earliest ``other`` row (the first extremum
+        within a block, strict improvement across blocks), matching the
+        historical blocked-argmin semantics.
         """
         other = self._cast_other(other)
         if len(other) == 0:
             raise DataValidationError("other must contain at least one row")
         state = self._state(other)
+        bound_rows, other_rows = self._operands(other, state)
         best_cmp = np.full(self.num_bound, np.inf, dtype=self._dtype)
         best_idx = np.zeros(self.num_bound, dtype=np.int64)
         for block in iter_blocks(len(other), block_size):
-            cmp = self._cross(
-                self._bound,
+            local, local_cmp = self._winners(
+                bound_rows @ other_rows[block].T,
                 self._bound_state,
-                other[block],
                 _slice_state(state, block),
+                k=1,
             )
-            local = np.argmin(cmp, axis=1)
-            local_cmp = np.take_along_axis(cmp, local[:, None], axis=1)[:, 0]
+            local, local_cmp = local[:, 0], local_cmp[:, 0]
             improved = local_cmp < best_cmp
             best_cmp[improved] = local_cmp[improved]
             best_idx[improved] = local[improved] + block.start
         return best_idx, best_cmp
+
+    def _winners(
+        self, product, row_state, col_state, k: int, self_offset=None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The ``k`` best columns of each row of a block's GEMM product.
+
+        Returns ``(idx, comparable)``, each ``(rows, k)`` and unordered
+        along a row for ``k > 1``.  Rows are keyed and selected in
+        chunks of at most :data:`_CHUNK_BYTES`, so a block that fits one
+        chunk takes a single pass.  The scratch the key is written to is
+        allocated here, per call, never kept: kernels are bound once per
+        arm and called concurrently by the thread backend.  With
+        ``self_offset``, row ``i`` never selects column
+        ``i + self_offset`` (leave-one-out).
+        """
+        rows, cols = product.shape
+        chunk = max(1, _CHUNK_BYTES // (cols * product.itemsize))
+        scratch = np.empty((min(rows, chunk), cols), dtype=product.dtype)
+        worst = -np.inf if self._largest else np.inf
+        idx = np.empty((rows, k), dtype=np.int64)
+        for start in range(0, rows, chunk):
+            part = slice(start, min(start + chunk, rows))
+            key = self._select_key(
+                product[part],
+                _slice_state(row_state, part),
+                col_state,
+                scratch[: part.stop - start],
+            )
+            if self_offset is not None:
+                own = np.arange(part.stop - start)
+                key[own, own + (start + self_offset)] = worst
+            idx[part] = _select(key, k, self._largest)
+        entries = np.take_along_axis(product, idx, axis=1)
+        return idx, self._comparables(entries, row_state, col_state, idx)
 
     def extend(self, bound: np.ndarray) -> "DistanceKernel":
         """A kernel over ``bound``, reusing this kernel's cached state.
@@ -301,12 +395,16 @@ class DistanceKernel(ABC):
     ) -> tuple[np.ndarray, np.ndarray]:
         """Exact top-k of the bound corpus per query row: ``(dist, idx)``.
 
-        Blocked over query rows; within a block the k winners are
-        selected with ``argpartition`` on comparable values and only the
-        winners are converted to true distances.  With
-        ``exclude_self=True`` query ``i`` is assumed to BE bound row
-        ``i`` and its self-match is masked out (leave-one-out mode); the
-        caller is expected to validate ``len(queries) == num_bound``.
+        Blocked over query rows; within a block the winners are
+        selected with ``argmin``/``argmax`` at ``k = 1`` and
+        ``argpartition`` otherwise, then sorted by comparable value, and
+        only the winners are converted to true distances.  At ``k = 1``
+        exact ties go to the earliest corpus row, the rule
+        :meth:`nearest_among` follows; for ``k > 1`` the order among
+        exact ties is unspecified.  With ``exclude_self=True`` query
+        ``i`` is assumed to BE bound row ``i`` and its self-match is
+        masked out (leave-one-out mode); the caller is expected to
+        validate ``len(queries) == num_bound``.
         """
         queries = self._cast_other(queries)
         effective_k = k + 1 if exclude_self else k
@@ -319,22 +417,17 @@ class DistanceKernel(ABC):
             )
         n = len(queries)
         state = self._state(queries)
+        bound_rows, query_rows = self._operands(queries, state)
         all_dist = np.empty((n, k))
         all_idx = np.empty((n, k), dtype=np.int64)
         for block in iter_blocks(n, block_size):
-            cmp = self._cross(
-                queries[block],
+            part, part_cmp = self._winners(
+                query_rows[block] @ bound_rows.T,
                 _slice_state(state, block),
-                self._bound,
                 self._bound_state,
+                k,
+                self_offset=block.start if exclude_self else None,
             )
-            if exclude_self:
-                cmp[
-                    np.arange(block.stop - block.start),
-                    np.arange(block.start, block.stop),
-                ] = np.inf
-            part = np.argpartition(cmp, kth=k - 1, axis=1)[:, :k]
-            part_cmp = np.take_along_axis(cmp, part, axis=1)
             order = np.argsort(part_cmp, axis=1)
             all_idx[block] = np.take_along_axis(part, order, axis=1)
             all_dist[block] = self.to_distance(
@@ -364,6 +457,20 @@ class EuclideanKernel(DistanceKernel):
         np.maximum(sq, self._dtype.type(0.0), out=sq)
         return sq
 
+    def _operands(self, other, other_state):
+        # -2 is a power of two, so the product is exactly -2 * (a @ b.T).
+        return self._bound, other * self._dtype.type(-2.0)
+
+    def _select_key(self, product, row_state, col_state, out):
+        return np.add(product, col_state, out=out)
+
+    def _comparables(self, entries, row_state, col_state, idx):
+        # (|a|^2 + |b|^2) + (-2ab): _cross's operations in its order.
+        sq = row_state[:, None] + col_state[idx]
+        sq += entries
+        np.maximum(sq, self._dtype.type(0.0), out=sq)
+        return sq
+
     def _pair(self, a, a_state, rows, row_state) -> np.ndarray:
         two = self._dtype.type(2.0)
         # Batched matvec (BLAS) rather than einsum: one gemv per query
@@ -389,6 +496,7 @@ class CosineKernel(DistanceKernel):
     """
 
     metric = "cosine"
+    _largest = True
 
     def _state(self, rows: np.ndarray):
         norms = np.linalg.norm(rows, axis=1)
@@ -404,6 +512,23 @@ class CosineKernel(DistanceKernel):
         sim[a_zero, :] = 0.0
         sim[:, b_zero] = 0.0
         return self._dtype.type(1.0) - sim
+
+    def _operands(self, other, other_state):
+        return self._bound_state[0], other_state[0]
+
+    def _select_key(self, product, row_state, col_state, out):
+        # Masked before selecting, not after: a row under _EPS norm is
+        # at similarity 0 to everything, but its normalized copy is not.
+        product[row_state[1]] = 0.0
+        product[:, col_state[1]] = 0.0
+        return product
+
+    def _comparables(self, entries, row_state, col_state, idx):
+        # The zero-row masks are already in the entries (_select_key).
+        np.clip(
+            entries, self._dtype.type(-1.0), self._dtype.type(1.0), out=entries
+        )
+        return self._dtype.type(1.0) - entries
 
     def _pair(self, a, a_state, rows, row_state) -> np.ndarray:
         a_unit, a_zero = a_state
@@ -442,6 +567,19 @@ def make_kernel(
             f"unknown metric {metric!r}; expected one of {tuple(_KERNELS)}"
         ) from None
     return cls(bound, dtype=dtype)
+
+
+def _select(key: np.ndarray, k: int, largest: bool) -> np.ndarray:
+    """Columns of the ``k`` best entries of each row of ``key``.
+
+    At ``k = 1`` the first extremum wins, so exact ties go to the
+    earliest column; for ``k > 1`` the order within a row is arbitrary.
+    """
+    if k == 1:
+        return (np.argmax if largest else np.argmin)(key, axis=1)[:, None]
+    if largest:
+        return np.argpartition(key, -k, axis=1)[:, -k:]
+    return np.argpartition(key, k - 1, axis=1)[:, :k]
 
 
 def _slice_state(state, block: slice):

@@ -191,7 +191,9 @@ class ProgressiveOneNN:
 
     def partial_fit(self, batch_x: np.ndarray, batch_y: np.ndarray) -> float:
         """Ingest one training batch and return the updated 1NN test error."""
-        batch_x = np.asarray(batch_x, dtype=np.float64)
+        # Cast once, straight to the compute dtype: a float32 store chunk
+        # reaches a float32 kernel without a float64 round-trip.
+        batch_x = np.asarray(batch_x, dtype=self._kernel.compute_dtype)
         batch_y = np.asarray(batch_y, dtype=np.int64)
         if len(batch_x) != len(batch_y):
             raise DataValidationError(

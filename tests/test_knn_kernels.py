@@ -1,9 +1,13 @@
 """Tests for the dtype-aware distance-kernel subsystem.
 
-Three layers:
+Four layers:
 
 - unit tests for the kernel primitives (bind-once state, fused blocked
   argmin/top-k, dtype resolution);
+- a parity suite proving the fused block (one GEMM, one chunked
+  selection pass, exact winners) returns exactly what the unfused
+  ``_cross`` expansion returns, in both dtypes, and pinning its tie and
+  zero-row rules;
 - a float64 regression suite proving the bound-kernel paths agree with
   the legacy recompute-everything paths bit-for-bit;
 - a hypothesis parity suite asserting the float32 compute path matches
@@ -22,6 +26,8 @@ from repro.knn.kernels import (
     DEFAULT_COMPUTE_DTYPE,
     CosineKernel,
     EuclideanKernel,
+    _slice_state,
+    iter_blocks,
     make_kernel,
     resolve_dtype,
 )
@@ -137,6 +143,204 @@ class TestFusedPrimitives:
                 kernel.to_distance(kernel.from_distance(dist)), dist,
                 rtol=1e-12,
             )
+
+
+def _unfused_nearest_among(kernel, other, block_size=2048):
+    """``DistanceKernel.nearest_among`` before fusion, verbatim."""
+    other = kernel._cast_other(other)
+    if len(other) == 0:
+        raise DataValidationError("other must contain at least one row")
+    state = kernel._state(other)
+    best_cmp = np.full(kernel.num_bound, np.inf, dtype=kernel._dtype)
+    best_idx = np.zeros(kernel.num_bound, dtype=np.int64)
+    for block in iter_blocks(len(other), block_size):
+        cmp = kernel._cross(
+            kernel._bound,
+            kernel._bound_state,
+            other[block],
+            _slice_state(state, block),
+        )
+        local = np.argmin(cmp, axis=1)
+        local_cmp = np.take_along_axis(cmp, local[:, None], axis=1)[:, 0]
+        improved = local_cmp < best_cmp
+        best_cmp[improved] = local_cmp[improved]
+        best_idx[improved] = local[improved] + block.start
+    return best_idx, best_cmp
+
+
+def _unfused_topk(kernel, queries, k, block_size=2048, exclude_self=False):
+    """``DistanceKernel.topk`` before fusion, verbatim."""
+    queries = kernel._cast_other(queries)
+    effective_k = k + 1 if exclude_self else k
+    if k < 1:
+        raise DataValidationError(f"k must be >= 1, got {k}")
+    if effective_k > kernel.num_bound:
+        raise DataValidationError(
+            f"k={k} (effective {effective_k}) exceeds corpus size "
+            f"{kernel.num_bound}"
+        )
+    n = len(queries)
+    state = kernel._state(queries)
+    all_dist = np.empty((n, k))
+    all_idx = np.empty((n, k), dtype=np.int64)
+    for block in iter_blocks(n, block_size):
+        cmp = kernel._cross(
+            queries[block],
+            _slice_state(state, block),
+            kernel._bound,
+            kernel._bound_state,
+        )
+        if exclude_self:
+            cmp[
+                np.arange(block.stop - block.start),
+                np.arange(block.start, block.stop),
+            ] = np.inf
+        part = np.argpartition(cmp, kth=k - 1, axis=1)[:, :k]
+        part_cmp = np.take_along_axis(cmp, part, axis=1)
+        order = np.argsort(part_cmp, axis=1)
+        all_idx[block] = np.take_along_axis(part, order, axis=1)
+        all_dist[block] = kernel.to_distance(
+            np.take_along_axis(part_cmp, order, axis=1)
+        )
+    return all_dist, all_idx
+
+
+def _assert_nearest_matches_unfused(kernel, other, block_size=2048):
+    idx, cmp = kernel.nearest_among(other, block_size=block_size)
+    ref_idx, ref_cmp = _unfused_nearest_among(kernel, other, block_size)
+    np.testing.assert_array_equal(idx, ref_idx)
+    np.testing.assert_array_equal(cmp, ref_cmp)
+    assert cmp.dtype == ref_cmp.dtype
+    return idx, cmp
+
+
+def _assert_topk_matches_unfused(kernel, queries, k, **kwargs):
+    dist, idx = kernel.topk(queries, k, **kwargs)
+    ref_dist, ref_idx = _unfused_topk(kernel, queries, k, **kwargs)
+    np.testing.assert_array_equal(idx, ref_idx)
+    np.testing.assert_array_equal(dist, ref_dist)
+    return dist, idx
+
+
+class TestFusedMatchesUnfused:
+    """The fused block returns the unfused ``_cross`` expansion's values.
+
+    Gaussian inputs keep candidates out of each other's rounding step,
+    where the two selection keys may legitimately order differently.
+    """
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        metric=st.sampled_from(["euclidean", "cosine"]),
+        dtype=st.sampled_from(["float32", "float64"]),
+        k=st.sampled_from([1, 5]),
+        exclude_self=st.booleans(),
+        block=st.integers(min_value=3, max_value=16),
+        blocks=st.integers(min_value=2, max_value=4),
+        rest=st.integers(min_value=0, max_value=14),
+        dim=st.integers(min_value=2, max_value=12),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_indices_and_comparables_equal(
+        self, seed, metric, dtype, k, exclude_self, block, blocks, rest, dim
+    ):
+        # 1 <= rows % block < block: the last block is a short one.
+        rows = block * blocks + 1 + rest % (block - 1)
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(rows, dim))
+        y = rng.normal(size=(rows, dim))
+        kernel = make_kernel(metric, x, dtype=dtype)
+        _assert_nearest_matches_unfused(kernel, y, block_size=block)
+        _assert_topk_matches_unfused(
+            kernel,
+            x if exclude_self else y,
+            k,
+            block_size=block,
+            exclude_self=exclude_self,
+        )
+
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_exact_duplicates_earliest_index_wins(self, rng, metric, dtype):
+        # Copies of row 3 at 5 (same block) and 9 (next block); every
+        # bound row is a jittered row 3, so the copies are its nearest.
+        corpus = rng.normal(size=(12, 6))
+        corpus[[5, 9]] = corpus[3]
+        near = corpus[3] + 1e-3 * rng.normal(size=(8, 6))
+        kernel = make_kernel(metric, near, dtype=dtype)
+        idx, _ = _assert_nearest_matches_unfused(kernel, corpus, block_size=8)
+        np.testing.assert_array_equal(idx, 3)
+        corpus_kernel = make_kernel(metric, corpus, dtype=dtype)
+        for block_size in (4, 2048):
+            _, top = corpus_kernel.topk(near, k=1, block_size=block_size)
+            np.testing.assert_array_equal(top[:, 0], 3)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_topk_k1_ties_go_to_earliest_index(self, rng, dtype):
+        # Small-integer rows: every distance is exact, so ties are real
+        # and plentiful; the first minimal column must win each row.
+        corpus = rng.integers(-2, 3, size=(300, 3)).astype(float)
+        queries = rng.integers(-2, 3, size=(200, 3)).astype(float)
+        kernel = make_kernel("euclidean", corpus, dtype=dtype)
+        _, idx = kernel.topk(queries, k=1, block_size=64)
+        dense = kernel.comparable_from(queries)
+        np.testing.assert_array_equal(idx[:, 0], np.argmin(dense, axis=1))
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_repeated_test_row_is_at_distance_zero(self, rng, dtype):
+        test_x = rng.normal(size=(40, 8))
+        batch = rng.normal(size=(30, 8))
+        batch[[4, 21]] = test_x[[17, 2]]
+        kernel = make_kernel("euclidean", test_x, dtype=dtype)
+        idx, cmp = _assert_nearest_matches_unfused(kernel, batch, block_size=16)
+        assert (idx[17], idx[2]) == (4, 21)
+        assert np.all(cmp >= 0.0)
+        # Integer-valued rows: the expansion is exact, so the clamped
+        # comparable is exactly zero, in the stream and search shapes.
+        test_x = rng.integers(-50, 51, size=(40, 8)).astype(float)
+        batch[[4, 21]] = test_x[[17, 2]]
+        kernel = make_kernel("euclidean", test_x, dtype=dtype)
+        idx, cmp = kernel.nearest_among(batch, block_size=16)
+        assert (idx[17], idx[2]) == (4, 21)
+        assert cmp[17] == 0.0 and cmp[2] == 0.0
+        dist, top = make_kernel("euclidean", batch, dtype=dtype).topk(
+            test_x[[17, 2]], k=1
+        )
+        np.testing.assert_array_equal(top[:, 0], [4, 21])
+        np.testing.assert_array_equal(dist[:, 0], 0.0)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_cosine_zero_and_subepsilon_rows(self, rng, dtype):
+        # Row 0 is zero and row 1 under _EPS norm, on both sides: both
+        # are at distance 1 from everything.  A normalized sub-_EPS row
+        # is not zero, so the mask must be applied before selecting.
+        x = rng.normal(size=(10, 5))
+        y = rng.normal(size=(30, 5))
+        y[:, 0] = np.abs(y[:, 0]) + 0.5
+        # Farther than 1 from every nonzero y row, so x[2] must pick the
+        # earliest masked y row, not y[1]'s normalized copy.
+        x[2] = [-1.0, 0.0, 0.0, 0.0, 0.0]
+        for rows in (x, y):
+            rows[0] = 0.0
+            rows[1] = -1e-14
+        kernel = make_kernel("cosine", x, dtype=dtype)
+        idx, cmp = _assert_nearest_matches_unfused(kernel, y, block_size=8)
+        np.testing.assert_array_equal(idx[:3], 0)
+        np.testing.assert_array_equal(cmp[:3], 1.0)
+        corpus_kernel = make_kernel("cosine", y, dtype=dtype)
+        dist, top = corpus_kernel.topk(x[:3], k=1, block_size=8)
+        np.testing.assert_array_equal(top, 0)
+        np.testing.assert_array_equal(dist, 1.0)
+        _assert_topk_matches_unfused(corpus_kernel, x[3:], 1, block_size=4)
+        dist, _ = corpus_kernel.topk(x[:2], k=5, block_size=8)
+        np.testing.assert_array_equal(dist, 1.0)
+
+    def test_float64_shape_where_sub_blocks_round_differently(self, rng):
+        # On OpenBLAS, float64 rows of a 26-row sub-product differ in the
+        # last bit from the same rows of this 5000-row product, so
+        # equality needs the GEMM at the unfused block's own shape.
+        kernel = make_kernel("euclidean", rng.normal(size=(5000, 66)), dtype=None)
+        _assert_nearest_matches_unfused(kernel, rng.normal(size=(1250, 66)))
 
 
 def _legacy_blocked_topk(queries, corpus, k, metric, block_size, exclude_self):
