@@ -39,8 +39,6 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 TRACKED = (
     ("knn_hot_paths.txt", ("k", "dtype"), ("brute q/s", "ivf q/s")),
     ("progressive_throughput.txt", ("pull", "path"), ("samples/s",)),
-    ("pq_scaling.txt", ("index", "config"), ("queries/s",)),
-    ("fastscan_scaling.txt", ("index", "config"), ("queries/s",)),
     ("store_scaling.txt", ("configuration",), ("samples/s",)),
 )
 
@@ -48,8 +46,6 @@ TRACKED = (
 SOURCES = {
     "knn_hot_paths.txt": "benchmarks/test_knn_hot_paths.py",
     "progressive_throughput.txt": "benchmarks/test_progressive_throughput.py",
-    "pq_scaling.txt": "benchmarks/test_pq_scaling.py",
-    "fastscan_scaling.txt": "benchmarks/test_fastscan_scaling.py",
     "store_scaling.txt": "benchmarks/test_store_scaling.py",
 }
 

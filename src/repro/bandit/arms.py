@@ -42,16 +42,7 @@ class TransformationArm:
     test_x, test_y:
         Test split; embedded once, up front (test sets are small).
     metric:
-        Distance metric for the 1NN evaluator.
-    knn_backend:
-        Search backend for the 1NN evaluator, resolved through
-        :func:`repro.knn.base.make_index`; ``None`` keeps the built-in
-        exact pairwise scan.  Append-capable ANN backends ("ivf_pq")
-        persist across pulls — each pull's chunk is encoded into the
-        compressed index instead of rebuilding one.
-    knn_backend_options:
-        Extra backend constructor kwargs (e.g. ``pq_m``, ``pq_nbits``,
-        ``nprobe``, ``rerank`` for "ivf_pq").
+        Distance metric for the exact 1NN evaluator.
     store:
         Optional shared :class:`EmbeddingStore`; when given, every chunk
         embedding is memoized, so sibling runs (another strategy, a
@@ -68,11 +59,6 @@ class TransformationArm:
         stochastic arm step must use this stream (never a shared
         generator) so results stay independent of the execution
         schedule.
-    scan_executor:
-        Optional :class:`~repro.core.engine.ShardedScanExecutor`
-        forwarded to the evaluator's sharded inverted-list backend.
-        Process-local (never picklable), so it is only set when arms
-        run on the serial/thread execution backends.
     """
 
     def __init__(
@@ -83,12 +69,9 @@ class TransformationArm:
         test_x: np.ndarray,
         test_y: np.ndarray,
         metric: str = "euclidean",
-        knn_backend: str | None = None,
-        knn_backend_options: dict | None = None,
         store: EmbeddingStore | None = None,
         dtype=None,
         seed: SeedLike = None,
-        scan_executor=None,
     ):
         if not transform.fitted:
             raise DataValidationError(
@@ -106,13 +89,7 @@ class TransformationArm:
             store, transform, np.asarray(test_x, dtype=np.float64)
         )
         self.evaluator = ProgressiveOneNN(
-            embedded_test,
-            test_y,
-            metric=metric,
-            knn_backend=knn_backend,
-            knn_backend_options=knn_backend_options,
-            dtype=dtype,
-            scan_executor=scan_executor,
+            embedded_test, test_y, metric=metric, dtype=dtype
         )
         self.sim_cost = transform.inference_cost(len(test_y))
         self.losses: list[float] = []
@@ -264,11 +241,8 @@ def build_arms(
     dataset,
     metric: str = "euclidean",
     rng: SeedLike = None,
-    knn_backend: str | None = None,
-    knn_backend_options: dict | None = None,
     store: EmbeddingStore | None = None,
     dtype=None,
-    scan_executor=None,
 ) -> list[TransformationArm]:
     """Fit each transform on the training split and wrap it in an arm.
 
@@ -292,11 +266,8 @@ def build_arms(
                 dataset.test_x,
                 dataset.test_y,
                 metric=metric,
-                knn_backend=knn_backend,
-                knn_backend_options=knn_backend_options,
                 store=store,
                 dtype=dtype,
-                scan_executor=scan_executor,
             )
         )
     return arms

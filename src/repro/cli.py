@@ -25,7 +25,6 @@ from repro.cleaning.costs import LABEL_REGIMES
 from repro.core.engine import backend_names
 from repro.core.snoopy import STRATEGIES, Snoopy, SnoopyConfig
 from repro.exceptions import DataValidationError
-from repro.knn.base import available_backends
 from repro.knn.kernels import DEFAULT_COMPUTE_DTYPE, VALID_COMPUTE_DTYPES
 from repro.datasets import dataset_names, load
 from repro.datasets.catalog import DATASET_SPECS
@@ -67,45 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
     study.add_argument(
         "--max-embeddings", type=int, default=None,
         help="truncate the pre-trained catalog for speed",
-    )
-    study.add_argument(
-        "--knn-backend", choices=available_backends(), default=None,
-        help="nearest-neighbor backend for the streamed 1NN evaluators "
-        "(default: built-in exact scan; 'ivf_pq' is the compressed "
-        "product-quantization index)",
-    )
-    study.add_argument(
-        "--pq-m", type=int, default=None,
-        help="ivf_pq: PQ subspaces per vector (default: backend's 8)",
-    )
-    study.add_argument(
-        "--pq-nbits", type=int, default=None,
-        help="ivf_pq: bits per PQ code (default: backend's 8)",
-    )
-    study.add_argument(
-        "--pq-dim", type=int, default=None,
-        help="ivf_pq: project residuals to this many dims before "
-        "quantizing (recommended for wide embeddings; default: off)",
-    )
-    study.add_argument(
-        "--nprobe", type=int, default=None,
-        help="ivf/ivf_pq: coarse partitions probed per query "
-        "(default: backend's)",
-    )
-    study.add_argument(
-        "--rerank", type=int, default=None,
-        help="ivf_pq: candidates re-scored exactly per query; "
-        "0 disables re-ranking (default: backend's 32)",
-    )
-    study.add_argument(
-        "--pq-packed", action="store_true",
-        help="ivf_pq: pack two 4-bit PQ codes per byte and scan with "
-        "the uint8 fast-scan kernel (requires --pq-nbits 4)",
-    )
-    study.add_argument(
-        "--knn-shards", type=int, default=None,
-        help="ivf/ivf_pq: shard the inverted lists across this many "
-        "scan tasks (bit-identical results for any shard count)",
     )
     _add_engine_args(study)
     _add_store_args(study)
@@ -287,20 +247,7 @@ def _cmd_study(args: argparse.Namespace) -> int:
             else args.store_spill_mb * 2**20
         ),
         "compute_dtype": args.dtype,
-        "knn_backend": args.knn_backend,
-        "pq_m": args.pq_m,
-        "pq_nbits": args.pq_nbits,
-        "pq_dim": args.pq_dim,
-        "nprobe": args.nprobe,
-        "rerank": args.rerank,
-        "pq_packed": args.pq_packed,
-        "knn_shards": args.knn_shards,
     }
-    if args.knn_backend in ("ivf", "ivf_pq"):
-        # The quantizer backends are euclidean-only; pin the metric so
-        # "auto" cannot resolve to cosine on text datasets and fail
-        # mid-run.
-        config_kwargs["metric"] = "euclidean"
     if args.strategy == "perfect":
         print("error: strategy 'perfect' needs oracle knowledge; "
               "use it from the API", file=sys.stderr)
@@ -308,7 +255,7 @@ def _cmd_study(args: argparse.Namespace) -> int:
     try:
         config = SnoopyConfig(**config_kwargs)
     except DataValidationError as error:
-        # e.g. an ANN knob set without a backend that consumes it.
+        # e.g. a non-positive --store-spill-mb.
         print(f"error: {error}", file=sys.stderr)
         return 2
     with Snoopy(catalog, config) as system:

@@ -48,7 +48,7 @@ class SlidingWindowBER:
     eval_fraction:
         Fraction of the window held out as the evaluation split (the
         most recent samples, so the estimate reflects "now").
-    knn_backend:
+    backend:
         kNN index backend for the 1NN evaluation, built through
         :func:`repro.knn.base.make_index` ("brute_force" by default).
     compute_dtype:
@@ -64,7 +64,7 @@ class SlidingWindowBER:
         window_size: int = 512,
         metric: str = "euclidean",
         eval_fraction: float = 0.25,
-        knn_backend: str = "brute_force",
+        backend: str = "brute_force",
         compute_dtype=None,
     ):
         if num_classes < 2:
@@ -77,7 +77,7 @@ class SlidingWindowBER:
         self.window_size = window_size
         self.metric = metric
         self.eval_fraction = eval_fraction
-        self.knn_backend = knn_backend
+        self.backend = backend
         self.compute_dtype = compute_dtype
         self._features: deque[np.ndarray] = deque(maxlen=window_size)
         self._labels: deque[int] = deque(maxlen=window_size)
@@ -125,7 +125,7 @@ class SlidingWindowBER:
         cut = int(len(labels) * (1.0 - self.eval_fraction))
         cut = min(max(cut, 2), len(labels) - 2)
         index = make_index(
-            self.knn_backend, metric=self.metric, dtype=self.compute_dtype
+            self.backend, metric=self.metric, dtype=self.compute_dtype
         ).fit(features[:cut], labels[:cut])
         error = index.error(features[cut:], labels[cut:], k=1)
         return cover_hart_lower_bound(error, self.num_classes)

@@ -210,78 +210,6 @@ class ProcessBackend(_PoolBackend):
         return ProcessPoolExecutor(max_workers=self.max_workers)
 
 
-class ShardedScanExecutor:
-    """Fans per-shard inverted-list scans out over an execution backend.
-
-    The sharded ANN tier (:mod:`repro.knn.pq` / :mod:`repro.knn.ivf`)
-    splits each query batch into one task per list shard; this executor
-    runs those tasks through an :class:`ExecutionBackend` — by default
-    its own :class:`ProcessBackend` sharing the engine's worker
-    semantics — and, when a sharing-enabled
-    :class:`~repro.transforms.store.EmbeddingStore` is supplied, binds
-    it so workers attach the published
-    :class:`~repro.transforms.store.SharedArrayRef` list payloads
-    zero-copy instead of receiving pickled copies.
-
-    The executor itself is *not* picklable and never crosses a process
-    boundary: :class:`~repro.core.snoopy.Snoopy` only injects it into
-    arm options for in-process execution backends (serial/thread),
-    where the arm objects stay on this side of any pool.
-
-    Determinism is the index's contract, not the executor's: shard
-    tasks return per-shard top-``t`` pools ordered by the
-    ``(distance, index)`` total order and the coordinator merges them
-    with the same order, so results are bit-identical for any shard
-    count — this class only supplies the transport.
-    """
-
-    def __init__(
-        self,
-        backend: ExecutionBackend | None = None,
-        store=None,
-        max_workers: int | None = None,
-    ):
-        self.backend = backend or ProcessBackend(max_workers=max_workers)
-        self._owns_backend = backend is None
-        self.store = store
-        if store is not None:
-            self.backend.bind_store(store)
-
-    @property
-    def store_state(self) -> dict | None:
-        """Attach-handle state shard tasks ship to workers (or None)."""
-        if self.store is not None and self.store.can_share_arrays:
-            return self.store.handle_state()
-        return None
-
-    def map(self, fn: Callable, tasks: Iterable) -> list:
-        """Run the shard tasks; results in input order."""
-        return self.backend.map(fn, tasks)
-
-    def close(self) -> None:
-        """Shut down the backend if this executor created it."""
-        if self._owns_backend:
-            self.backend.close()
-
-    def __enter__(self) -> "ShardedScanExecutor":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"ShardedScanExecutor(backend={self.backend!r}, "
-            f"shared_store={self.store is not None})"
-        )
-
-    def __reduce__(self):
-        raise TypeError(
-            "ShardedScanExecutor is process-local and cannot be pickled; "
-            "construct one per process instead"
-        )
-
-
 # ----------------------------------------------------------------------
 # Round scheduling over transformation arms
 # ----------------------------------------------------------------------

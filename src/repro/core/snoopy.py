@@ -37,7 +37,6 @@ from repro.bandit.uniform import uniform_allocation
 from repro.core.aggregation import aggregate_min
 from repro.core.engine import (
     RoundScheduler,
-    ShardedScanExecutor,
     backend_names,
     make_backend,
     spawn_arm_streams,
@@ -88,34 +87,9 @@ class SnoopyConfig:
     metric:
         Distance metric for the 1NN evaluators; "auto" selects cosine
         dissimilarity for text datasets and euclidean otherwise
-        (following the paper's per-modality convention).
-    knn_backend:
-        Nearest-neighbor backend for the streamed evaluators, resolved
-        through :func:`repro.knn.base.make_index`; ``None`` (default)
-        keeps the built-in exact pairwise scan.  ``"ivf_pq"`` selects
-        the compressed product-quantization index: each arm's pulled
-        rows are encoded-on-append into uint8 codes, searched by ADC
-        tables over the probed coarse lists and exactly re-ranked (see
-        :mod:`repro.knn.pq`), cutting the per-arm corpus memory ~16-32x.
-    pq_m, pq_nbits, pq_dim, nprobe, rerank:
-        Approximate-search knobs forwarded to the backend (``nprobe``
-        also applies to ``"ivf"``); ``None`` keeps each backend's
-        default.  ``pq_dim`` enables the projection that keeps PQ
-        subspaces small on wide embeddings.  See
-        :class:`repro.knn.pq.IVFPQIndex`.
-    pq_packed:
-        Store PQ codes two-per-byte and scan with the uint8 fast-scan
-        kernel (requires ``pq_nbits=4`` and a positive re-rank depth to
-        take effect; see :mod:`repro.knn.pq`).  ``"ivf_pq"`` only.
-    knn_shards:
-        Shard the inverted lists of the "ivf"/"ivf_pq" backend across
-        that many scan tasks, merged bit-identically for any shard
-        count (see :mod:`repro.knn.sharding`).  With the "serial" or
-        "thread" execution backend the shards run on a dedicated
-        process pool (:class:`~repro.core.engine.ShardedScanExecutor`)
-        attached to the shared store; under the "process" backend the
-        arms already occupy the pool, so shard tasks run inline within
-        each worker (same results, intra-worker parallelism only).
+        (following the paper's per-modality convention).  Every arm
+        streams the exact 1NN error through
+        :class:`~repro.knn.progressive.ProgressiveOneNN`.
     top_up_winner:
         After selection, feed the winner the rest of the training pool.
     extrapolate:
@@ -163,14 +137,6 @@ class SnoopyConfig:
     budget: int | None = None
     pull_size: int | None = None
     metric: str = "auto"
-    knn_backend: str | None = None
-    pq_m: int | None = None
-    pq_nbits: int | None = None
-    pq_dim: int | None = None
-    nprobe: int | None = None
-    rerank: int | None = None
-    pq_packed: bool = False
-    knn_shards: int | None = None
     top_up_winner: bool = True
     extrapolate: bool = True
     perfect_arm_name: str | None = None
@@ -219,65 +185,6 @@ class SnoopyConfig:
                 "set embedding_cache_bytes > 0"
             )
         resolve_dtype(self.compute_dtype)  # fail fast on an unknown dtype
-        for knob in ("pq_m", "pq_nbits", "pq_dim", "nprobe", "rerank",
-                     "knn_shards"):
-            value = getattr(self, knob)
-            minimum = 0 if knob == "rerank" else 1
-            if value is not None and value < minimum:
-                raise DataValidationError(
-                    f"{knob} must be >= {minimum}, got {value}"
-                )
-        # A knob the selected backend ignores would silently vanish —
-        # the run would NOT use the configuration the caller believes
-        # it benchmarked — so reject the combination outright.
-        consumed = {
-            "ivf_pq": ("pq_m", "pq_nbits", "pq_dim", "nprobe", "rerank",
-                       "knn_shards"),
-            "ivf": ("nprobe", "knn_shards"),
-        }.get(self.knn_backend, ())
-        stray = [
-            knob
-            for knob in ("pq_m", "pq_nbits", "pq_dim", "nprobe", "rerank",
-                         "knn_shards")
-            if getattr(self, knob) is not None and knob not in consumed
-        ]
-        if stray:
-            raise DataValidationError(
-                f"knob(s) {stray} have no effect with "
-                f"knn_backend={self.knn_backend!r}; set "
-                f"knn_backend='ivf_pq' (or 'ivf' for nprobe/knn_shards) "
-                f"or unset them"
-            )
-        if self.pq_packed and self.knn_backend != "ivf_pq":
-            raise DataValidationError(
-                "pq_packed has no effect with "
-                f"knn_backend={self.knn_backend!r}; it requires "
-                "knn_backend='ivf_pq' (with pq_nbits=4)"
-            )
-
-    def knn_backend_options(self) -> dict:
-        """Backend constructor kwargs implied by the set ANN knobs.
-
-        Only knobs the selected backend understands are forwarded, and
-        only when explicitly set, so each backend's own defaults apply
-        otherwise.
-        """
-        if self.knn_backend == "ivf_pq":
-            knobs = ("pq_m", "pq_nbits", "pq_dim", "nprobe", "rerank")
-        elif self.knn_backend == "ivf":
-            knobs = ("nprobe",)
-        else:
-            return {}
-        options = {
-            knob: getattr(self, knob)
-            for knob in knobs
-            if getattr(self, knob) is not None
-        }
-        if self.pq_packed:
-            options["pq_packed"] = True
-        if self.knn_shards is not None:
-            options["shards"] = self.knn_shards
-        return options
 
 
 @dataclass
@@ -298,7 +205,6 @@ class RunContext:
     order: np.ndarray | None = None
     arms: list[TransformationArm] = field(default_factory=list)
     scheduler: RoundScheduler | None = None
-    scan_executor: ShardedScanExecutor | None = None
     selection: SelectionResult | None = None
     estimates: dict[str, BEREstimate] = field(default_factory=dict)
     per_transform: list[TransformResult] = field(default_factory=list)
@@ -399,8 +305,6 @@ class Snoopy:
             # unpin the shared training-pool segments even when an
             # allocation raises, so no /dev/shm bytes outlive the run.
             ctx.scheduler.close()
-            if ctx.scan_executor is not None:
-                ctx.scan_executor.close()
             if self.store is not None:
                 self.store.release_shared()
         self._aggregate(ctx)
@@ -455,29 +359,12 @@ class Snoopy:
         ctx.metric = self._resolve_metric(dataset)
         rng = ensure_rng(config.seed)
         ctx.order = rng.permutation(dataset.num_train)
-        # A dedicated scan pool parallelizes the per-arm ANN scans when
-        # the arms themselves run in-process (serial/thread backends).
-        # Under the "process" backend the arms already occupy the pool —
-        # and the executor cannot cross a pickle boundary — so shard
-        # tasks run inline inside each worker instead (same results).
-        use_scan_pool = (
-            (config.knn_shards or 0) > 1
-            and config.execution_backend != "process"
-        )
-        if (
-            config.execution_backend == "process" or use_scan_pool
-        ) and self.store is not None:
+        if config.execution_backend == "process" and self.store is not None:
             # Workers must attach hot blocks by name and share a spill
             # dir; enabling before arms are built lets even the test-set
             # embeddings land in shared segments.
             self.store.enable_sharing()
-        if use_scan_pool:
-            ctx.scan_executor = ShardedScanExecutor(
-                store=self.store, max_workers=config.max_workers
-            )
-        ctx.arms = self._build_arms(
-            dataset, ctx.order, ctx.metric, ctx.scan_executor
-        )
+        ctx.arms = self._build_arms(dataset, ctx.order, ctx.metric)
         backend = make_backend(config.execution_backend, config.max_workers)
         backend.bind_store(self.store)
         ctx.scheduler = RoundScheduler(backend)
@@ -489,7 +376,7 @@ class Snoopy:
         return "cosine" if dataset.modality == "text" else "euclidean"
 
     def _build_arms(
-        self, dataset, order: np.ndarray, metric: str, scan_executor=None
+        self, dataset, order: np.ndarray, metric: str
     ) -> list[TransformationArm]:
         # Build arms directly over the permuted pool (shared by all arms).
         train_x = dataset.train_x[order]
@@ -507,12 +394,9 @@ class Snoopy:
                     dataset.test_x,
                     dataset.test_y,
                     metric=metric,
-                    knn_backend=self.config.knn_backend,
-                    knn_backend_options=self.config.knn_backend_options(),
                     store=self.store,
                     dtype=self.config.compute_dtype,
                     seed=stream,
-                    scan_executor=scan_executor,
                 )
             )
         return arms

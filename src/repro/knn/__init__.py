@@ -15,8 +15,9 @@ error estimate in the paper:
 - :mod:`repro.knn.brute_force` — an exact kNN index with prediction and
   test-error helpers (backend "brute_force").
 - :mod:`repro.knn.progressive` — a streaming 1NN evaluator that ingests
-  training data in batches and maintains the test error after every
-  batch; this powers the convergence curves and the bandit arms.
+  training data in batches and maintains the exact test error after
+  every batch through the bound kernel's ``nearest_among``; this powers
+  the convergence curves and the bandit arms.
 - :mod:`repro.knn.incremental` — the append-only exact index (backend
   "incremental") and the neighbor cache that makes re-running Snoopy
   after label cleaning an O(test) operation (Section V of the paper:
@@ -25,10 +26,6 @@ error estimate in the paper:
   and inverted-file index (backend "ivf") behind the accelerator-style
   approximate search the paper cites for scaling; its search paths are
   fully vectorized.
-- :mod:`repro.knn.pq` — product quantization (backend "ivf_pq"): uint8
-  codes, ADC lookup tables, residual-encoded inverted lists and exact
-  re-ranking through the distance kernels — the compressed search tier
-  for corpora that outgrow the flat indexes.
 """
 
 from repro.knn.base import (
@@ -57,7 +54,6 @@ from repro.knn.metrics import (
     euclidean_distances,
     pairwise_distances,
 )
-from repro.knn.pq import IVFPQIndex, ProductQuantizer
 from repro.knn.progressive import CurvePoint, ProgressiveOneNN
 
 __all__ = [
@@ -69,12 +65,10 @@ __all__ = [
     "DistanceKernel",
     "EuclideanKernel",
     "IVFFlatIndex",
-    "IVFPQIndex",
     "IncrementalKNNIndex",
     "KMeans",
     "KNNIndex",
     "NeighborCache",
-    "ProductQuantizer",
     "ProgressiveOneNN",
     "available_backends",
     "blocked_argmin_distance",

@@ -40,12 +40,6 @@ class KNNIndex(ABC):
     :func:`make_index`; see the module docstring for the contract.
     """
 
-    #: True for append-only ANN backends (``partial_fit`` + sublinear
-    #: search) that :class:`~repro.knn.progressive.ProgressiveOneNN`
-    #: should keep alive across training batches instead of rebuilding
-    #: per batch.
-    supports_progressive_append = False
-
     @property
     @abstractmethod
     def num_fitted(self) -> int:
@@ -161,26 +155,12 @@ def register_backend(name: str):
 
 #: Backends whose quantizer structure is euclidean-only; requesting any
 #: other metric raises instead of silently degrading.
-_EUCLIDEAN_ONLY = frozenset({"ivf", "ivf_pq"})
-
-#: Backends whose inverted lists can be sharded across scan workers
-#: (``shards`` / ``scan_executor`` / ``store`` options).
-_SHARDABLE = frozenset({"ivf", "ivf_pq"})
-
-#: Sharding/fast-scan options only the listed backends accept;
-#: :func:`make_index` rejects them elsewhere with a targeted error
-#: instead of an opaque ``TypeError`` from the constructor.
-_SHARD_OPTIONS = {
-    "shards": _SHARDABLE,
-    "scan_executor": _SHARDABLE,
-    "store": _SHARDABLE,
-    "pq_packed": frozenset({"ivf_pq"}),
-}
+_EUCLIDEAN_ONLY = frozenset({"ivf"})
 
 
 def _load_default_backends() -> None:
     # Imported lazily so base <-> backend modules never cycle.
-    from repro.knn import brute_force, incremental, ivf, pq  # noqa: F401
+    from repro.knn import brute_force, incremental, ivf  # noqa: F401
 
 
 def available_backends() -> tuple[str, ...]:
@@ -198,21 +178,18 @@ def make_index(
     ----------
     backend:
         One of :func:`available_backends` ("brute_force" — alias
-        "exact" —, "ivf", "ivf_pq", "incremental").  An unregistered
-        name raises :class:`~repro.exceptions.UnknownBackendError`
-        naming the registered backends.
+        "exact" —, "ivf", "incremental").  An unregistered name raises
+        :class:`~repro.exceptions.UnknownBackendError` naming the
+        registered backends.
     metric:
-        Distance metric.  The quantizer-based backends ("ivf",
-        "ivf_pq") are euclidean-only; requesting cosine raises
+        Distance metric.  The quantizer-based "ivf" backend is
+        euclidean-only; requesting cosine raises
         :class:`DataValidationError` instead of silently degrading.
     kwargs:
         Forwarded to the backend constructor (e.g. ``block_size`` for
-        the exact backends, ``nlist``/``nprobe``/``seed`` for IVF,
-        additionally ``pq_m``/``pq_nbits``/``rerank``/``pq_packed`` for
-        IVF-PQ, ``dtype`` — "float32"/"float64" compute precision — for
-        all of them, and the sharded-scan options ``shards`` /
-        ``scan_executor`` / ``store`` for the inverted-list backends
-        "ivf" and "ivf_pq").
+        the exact backends, ``nlist``/``nprobe``/``seed`` for IVF, and
+        ``dtype`` — "float32"/"float64" compute precision — for all of
+        them).
     """
     _load_default_backends()
     name = _BACKEND_ALIASES.get(backend, backend)
@@ -222,13 +199,6 @@ def make_index(
             f"unknown kNN backend {backend!r}; "
             f"available backends: {available_backends()}"
         )
-    for option, accepted_by in _SHARD_OPTIONS.items():
-        if option in kwargs and name not in accepted_by:
-            raise DataValidationError(
-                f"option {option!r} is only supported by the "
-                f"{tuple(sorted(accepted_by))} backend(s), "
-                f"not {backend!r}"
-            )
     if name in _EUCLIDEAN_ONLY:
         if metric != "euclidean":
             raise DataValidationError(

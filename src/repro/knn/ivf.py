@@ -24,25 +24,12 @@ the measured speedup over the historical per-query implementation).
 
 from __future__ import annotations
 
-import os
-import weakref
-
 import numpy as np
 
 from repro.exceptions import DataValidationError
 from repro.knn.base import KNNIndex, register_backend
 from repro.knn.kernels import iter_blocks, make_kernel, resolve_dtype
 from repro.knn.kmeans import KMeans
-from repro.knn.sharding import (
-    merge_shard_pools,
-    owned_clusters,
-    pair_slots,
-    probe_pairs,
-    publish_payload,
-    resolve_payload,
-    select_pool_topk,
-    unpublish_owner,
-)
 from repro.rng import SeedLike
 
 #: Upper bound on the number of compute-dtype entries a per-cluster
@@ -60,11 +47,9 @@ def _keep_smallest_sq(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-row ``keep`` smallest of a squared-distance block.
 
-    The one per-list selection ladder, shared by the single-process
-    scan and the shard workers so both make identical picks (including
-    tie picks) from identical blocks: full pass-through when the list
-    is no larger than ``keep``, iterated argmin sweeps (branch-free
-    SIMD reductions, no index-array allocation) for tiny keeps, one
+    The per-list selection ladder: full pass-through when the list is
+    no larger than ``keep``, iterated argmin sweeps (branch-free SIMD
+    reductions, no index-array allocation) for tiny keeps, one
     argpartition otherwise.  May fill ``sq`` with inf in place.
     """
     size = sq.shape[1]
@@ -83,6 +68,24 @@ def _keep_smallest_sq(
         return local, local_sq
     local = np.argpartition(sq, kth=keep - 1, axis=1)[:, :keep]
     return local, np.take_along_axis(sq, local, axis=1)
+
+
+def _select_pool_topk(
+    est: np.ndarray, idx: np.ndarray, keep: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row top-``keep`` of a candidate pool under (est, index) order.
+
+    Primary key estimate, secondary key member index — a strict total
+    order over real candidates (indexes are unique within a query's
+    pool), so the result is independent of how the pool columns were
+    arranged and exact duplicates resolve to the lower corpus index.
+    Unfilled slots (``est=inf``, ``idx=-1``) sort last.
+    """
+    order = np.lexsort((idx, est), axis=1)[:, :keep]
+    return (
+        np.take_along_axis(est, order, axis=1),
+        np.take_along_axis(idx, order, axis=1),
+    )
 
 
 @register_backend("ivf")
@@ -108,20 +111,6 @@ class IVFFlatIndex(KNNIndex):
         path.  The corpus, its list-major copy and the cached
         per-cluster squared norms are all held in this dtype, so the
         float32 mode also halves the index's memory footprint.
-    shards:
-        Number of inverted-list shards (cluster ``c`` belongs to shard
-        ``c % shards``).  Each probed query batch is scanned one task
-        per shard and the shard pools are merged under the
-        (distance, index) total order, so results are bit-identical
-        for any shard count — see :mod:`repro.knn.sharding`.
-    scan_executor:
-        Optional :class:`~repro.core.engine.ShardedScanExecutor`; shard
-        tasks run through its process pool instead of inline.  Setting
-        it routes the scan through the sharded path even for one shard.
-    store:
-        Optional :class:`~repro.transforms.store.EmbeddingStore` used
-        to publish shard payloads as shared-memory blocks, so executor
-        workers scan the lists zero-copy.
     """
 
     def __init__(
@@ -131,16 +120,11 @@ class IVFFlatIndex(KNNIndex):
         seed: SeedLike = 0,
         block_size: int = 2048,
         dtype=None,
-        shards: int = 1,
-        scan_executor=None,
-        store=None,
     ):
         if nlist < 1:
             raise DataValidationError("nlist must be >= 1")
         if nprobe < 1:
             raise DataValidationError("nprobe must be >= 1")
-        if shards < 1:
-            raise DataValidationError("shards must be >= 1")
         self._requested_nlist = nlist
         self._requested_nprobe = min(nprobe, nlist)
         self.nlist = nlist
@@ -159,13 +143,6 @@ class IVFFlatIndex(KNNIndex):
         self._y: np.ndarray | None = None
         self._corpus_kernel = None  # full-scan path, corpus norms cached
         self._centroid_kernel = None  # probe ordering, centroid norms cached
-        self.shards = int(shards)
-        self._scan_executor = scan_executor
-        self._store = store
-        self._share_owner = f"listshard-{os.urandom(6).hex()}"
-        self._unpublish_finalizer = None
-        self._shard_version = 0
-        self._payload_cache: dict[int, tuple[int, dict]] = {}
 
     @property
     def num_fitted(self) -> int:
@@ -217,12 +194,6 @@ class IVFFlatIndex(KNNIndex):
             "euclidean", self._quantizer.centroids, dtype=self.dtype
         )
         self._y = y
-        # A refit replaces every list wholesale: retire cached shard
-        # payloads and any published segments of the previous corpus.
-        self._shard_version += 1
-        self._payload_cache.clear()
-        if self._store is not None:
-            self._store.unpublish(self._share_owner)
         return self
 
     def kneighbors(
@@ -239,6 +210,8 @@ class IVFFlatIndex(KNNIndex):
         queries = np.asarray(queries, dtype=self._dtype)
         if queries.ndim != 2:
             raise DataValidationError("queries must be 2-D")
+        if k < 1:
+            raise DataValidationError(f"k must be >= 1, got {k}")
         if k > len(self._x):
             raise DataValidationError(
                 f"k={k} exceeds corpus size {len(self._x)}"
@@ -271,13 +244,6 @@ class IVFFlatIndex(KNNIndex):
                 # as the brute-force backend).
                 dist, idx = self._corpus_kernel.topk(
                     queries[rows], k, block_size=self.block_size
-                )
-            elif self._sharded:
-                dist, idx = self._sharded_search(
-                    queries[rows],
-                    query_sq[rows],
-                    probe_order[rows, :probes],
-                    k,
                 )
             else:
                 dist, idx = self._search_probed(
@@ -354,125 +320,14 @@ class IVFFlatIndex(KNNIndex):
                 slots = flat_slots[segment][:, None] + np.arange(keep)
                 pool_dist[rows[:, None], slots] = local_sq
                 pool_idx[rows[:, None], slots] = self._members[start + local]
-            # Final selection under the sharded tier's (distance, index)
-            # total order — the same rule the shard pools and the
-            # coordinator merge apply, so the single-process path stays
-            # bit-identical to any shard count even when duplicate
-            # points tie exactly.
-            top_sq, top_idx = select_pool_topk(pool_dist, pool_idx, k)
+            # Final selection under the (distance, index) total order, so
+            # exact duplicates tie-break deterministically to the lower
+            # corpus index.
+            top_sq, top_idx = _select_pool_topk(pool_dist, pool_idx, k)
             np.maximum(top_sq, self._dtype.type(0.0), out=top_sq)
             out_dist[block] = np.sqrt(top_sq, dtype=np.float64)
             out_idx[block] = top_idx
         return out_dist, out_idx
-
-    # ------------------------------------------------------------------
-    # Sharded scanning
-    # ------------------------------------------------------------------
-
-    @property
-    def _sharded(self) -> bool:
-        """Route through the shard scan (even for 1 shard with an
-        executor, so executor transport is exercised identically)."""
-        return self.shards > 1 or self._scan_executor is not None
-
-    def _sharded_search(
-        self,
-        queries: np.ndarray,
-        query_sq: np.ndarray,
-        probe_clusters: np.ndarray,
-        k: int,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Fan the probed lists out per owning shard and merge.
-
-        Each task scans whole lists with the *same* query chunking and
-        per-list selection ladder the single-process scan uses (the
-        chunk size is computed here from shard-count-independent
-        quantities and shipped with the task), so every squared
-        distance — and every tie pick — is numerically identical to
-        the unsharded scan; the merge applies the (distance, index)
-        total order shared with :meth:`_search_probed`.
-        """
-        g = len(queries)
-        p = probe_clusters.shape[1]
-        rows, clusters = probe_pairs(
-            probe_clusters, np.full(g, p, dtype=np.int64)
-        )
-        max_size = int(self._list_sizes.max())
-        chunk = max(1, min(g, _GATHER_BUDGET // max(1, max_size, p * k)))
-        tasks = []
-        for shard in range(self.shards):
-            mask = clusters % self.shards == shard
-            if not mask.any():
-                continue
-            tasks.append({
-                "payload": self._shard_payload(shard),
-                "store": self._store,
-                "owner": self._share_owner,
-                "queries": queries,
-                "query_sq": query_sq,
-                "rows": rows[mask],
-                "clusters": clusters[mask],
-                "params": {"k": k, "chunk": chunk, "dtype": self.dtype},
-            })
-        if self._scan_executor is not None:
-            pools = self._scan_executor.map(_flat_shard_scan, tasks)
-        else:
-            pools = [_flat_shard_scan(task) for task in tasks]
-        top_sq, top_idx = merge_shard_pools(pools, k)
-        np.maximum(top_sq, self._dtype.type(0.0), out=top_sq)
-        return np.sqrt(top_sq, dtype=np.float64), top_idx
-
-    def _shard_payload(self, shard: int) -> dict:
-        """List payload of one shard (owned-list-major concatenation).
-
-        Cached per fit version and published through the store when one
-        is attached, so repeated query batches reuse both the arrays
-        and the shared segments.
-        """
-        version = self._shard_version
-        cached = self._payload_cache.get(shard)
-        if cached is not None and cached[0] == version:
-            return cached[1]
-        owned = owned_clusters(self.nlist, shard, self.shards)
-        sizes = self._list_sizes[owned]
-        starts = np.zeros(len(owned), dtype=np.int64)
-        np.cumsum(sizes[:-1], out=starts[1:])
-        total = int(sizes.sum())
-        members = np.empty(total, dtype=np.int64)
-        x = np.empty((total, self._x.shape[1]), dtype=self._dtype)
-        sq = np.empty(total, dtype=self._sq_by_list.dtype)
-        for i, cluster in enumerate(owned):
-            size = int(sizes[i])
-            if size == 0:
-                continue
-            dst = int(starts[i])
-            src = int(self._list_starts[cluster])
-            members[dst : dst + size] = self._members[src : src + size]
-            x[dst : dst + size] = self._x_by_list[src : src + size]
-            sq[dst : dst + size] = self._sq_by_list[src : src + size]
-        mapping = publish_payload(
-            self._store,
-            self._share_owner,
-            shard,
-            version,
-            {"members": members, "x": x, "sq": sq},
-        )
-        if self._store is not None and self._unpublish_finalizer is None:
-            self._unpublish_finalizer = weakref.finalize(
-                self, unpublish_owner, weakref.ref(self._store),
-                self._share_owner,
-            )
-        mapping = {
-            **mapping, "owned": owned, "sizes": sizes, "starts": starts,
-        }
-        self._payload_cache[shard] = (version, mapping)
-        return mapping
-
-    def release_shards(self) -> None:
-        """Drop published shard payloads (store segments) eagerly."""
-        self._payload_cache.clear()
-        if self._store is not None:
-            self._store.unpublish(self._share_owner)
 
     def recall_against_exact(
         self, queries: np.ndarray, exact_indices: np.ndarray, k: int = 1
@@ -485,69 +340,3 @@ class IVFFlatIndex(KNNIndex):
         hits = np.sum(approx[:, :, None] == exact_indices[:, None, :])
         return float(hits) / (len(queries) * k)
 
-
-def _flat_shard_scan(task: dict) -> tuple[np.ndarray, np.ndarray]:
-    """Scan one shard's probed lists; return its local top-k pool.
-
-    Runs either inline or in an executor worker (the task's ``store``
-    pickles into an attach handle, so shared payload blocks resolve
-    zero-copy).  Query chunking uses the coordinator-supplied ``chunk``
-    and the per-list ladder is :func:`_keep_smallest_sq` — both shared
-    with the single-process scan, so every squared-distance block and
-    every selection is computed on bit-identical inputs.
-    """
-    payload = resolve_payload(task["payload"], task["store"], task["owner"])
-    queries = task["queries"]
-    query_sq = task["query_sq"]
-    rows = task["rows"]
-    clusters = task["clusters"]
-    params = task["params"]
-    k = int(params["k"])
-    chunk = int(params["chunk"])
-    dtype = resolve_dtype(params["dtype"])
-    two = dtype.type(2.0)
-    owned = payload["owned"]
-    sizes = payload["sizes"]
-    starts = payload["starts"]
-    members = payload["members"]
-    x_by_list = payload["x"]
-    sq_by_list = payload["sq"]
-    g = len(queries)
-    slot_base, width = pair_slots(rows, g, k)
-    pool_dist = np.full((g, width), np.inf, dtype=dtype)
-    pool_idx = np.full((g, width), -1, dtype=np.int64)
-    for block in iter_blocks(g, chunk):
-        # rows is ascending (probe pairs grouped by query), so each
-        # query chunk is one contiguous pair span.
-        lo = int(np.searchsorted(rows, block.start))
-        hi = int(np.searchsorted(rows, block.stop))
-        if lo == hi:
-            continue
-        brows = rows[lo:hi]
-        bclusters = clusters[lo:hi]
-        bbase = slot_base[lo:hi]
-        by_cluster = np.argsort(bclusters, kind="stable")
-        boundaries = np.flatnonzero(
-            np.diff(bclusters[by_cluster])
-        ) + 1
-        for segment in np.split(by_cluster, boundaries):
-            cluster = int(bclusters[segment[0]])
-            li = int(np.searchsorted(owned, cluster))
-            size = int(sizes[li])
-            if size == 0:
-                continue
-            start = int(starts[li])
-            seg_rows = brows[segment]
-            sq = (
-                query_sq[seg_rows][:, None]
-                + sq_by_list[None, start : start + size]
-                - two * (
-                    queries[seg_rows] @ x_by_list[start : start + size].T
-                )
-            )
-            keep = min(k, size)
-            local, local_sq = _keep_smallest_sq(sq, keep)
-            slots = bbase[segment][:, None] + np.arange(keep)
-            pool_dist[seg_rows[:, None], slots] = local_sq
-            pool_idx[seg_rows[:, None], slots] = members[start + local]
-    return select_pool_topk(pool_dist, pool_idx, k)

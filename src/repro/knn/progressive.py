@@ -11,16 +11,17 @@ Feeding batch after batch therefore costs O(batch x test) per step and
 reproduces exactly the error the full brute-force computation would give
 on the union of all batches seen so far.
 
-The distance evaluation itself runs through a
-:class:`repro.knn.kernels.DistanceKernel` bound to the test set at
-construction: the test-side squared norms (euclidean) or normalized rows
-(cosine) are computed exactly once, so the thousands of ``partial_fit``
-calls of a feasibility study pay only for the batch side, and the
-comparison state is kept in *comparable* units (squared euclidean
-distance), deferring the ``sqrt`` to the rare callers that ask for true
-distances.  ``dtype`` selects the compute precision; the default
-``float64`` reproduces the historical results bit-for-bit, while
-``float32`` roughly doubles throughput (see
+The distance evaluation itself is one
+:meth:`repro.knn.kernels.DistanceKernel.nearest_among` call per batch,
+on a kernel bound to the test set at construction; no training corpus
+is ever stored.  The test-side squared norms (euclidean) or normalized
+rows (cosine) are computed exactly once, so the thousands of
+``partial_fit`` calls of a feasibility study pay only for the batch
+side, and the comparison state is kept in *comparable* units (squared
+euclidean distance), deferring the ``sqrt`` to the rare callers that
+ask for true distances.  ``dtype`` selects the compute precision; the
+default ``float64`` reproduces the historical results bit-for-bit,
+while ``float32`` roughly doubles throughput (see
 ``benchmarks/test_progressive_throughput.py``).
 """
 
@@ -31,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.exceptions import DataValidationError
-from repro.knn.base import make_index
 from repro.knn.kernels import make_kernel
 
 
@@ -55,36 +55,10 @@ class ProgressiveOneNN:
     record_curve:
         When True (default), every :meth:`partial_fit` appends a
         :class:`CurvePoint` to :attr:`curve`.
-    knn_backend:
-        ``None`` (default) uses the built-in bound distance kernel per
-        batch.  Otherwise a backend name for
-        :func:`repro.knn.base.make_index` ("brute_force", "ivf",
-        "ivf_pq", ...): the per-test nearest neighbor comes from 1NN
-        queries against that backend, making the search substrate
-        swappable.  Backends advertising ``supports_progressive_append``
-        (the compressed "ivf_pq" index) are built **once** and fed each
-        batch via ``partial_fit`` — encode-on-append into the coarse
-        lists, codebooks refreshed by the index's own policy — so the
-        corpus stays compressed across the whole stream; other backends
-        are rebuilt per batch (exact per-batch search, which at typical
-        bandit pull sizes is the fastest option).
-    knn_backend_options:
-        Extra constructor kwargs for the backend (e.g. ``pq_m``,
-        ``pq_nbits``, ``nprobe``, ``rerank``, ``pq_packed``,
-        ``shards`` for "ivf_pq").
     dtype:
         Compute dtype for the distance arithmetic ("float32" or
         "float64"); ``None`` (default) keeps the strict ``float64``
         path.
-    scan_executor:
-        Optional :class:`~repro.core.engine.ShardedScanExecutor`
-        forwarded to sharded inverted-list backends ("ivf"/"ivf_pq")
-        so their probe scans run on its process pool.  Passed as a
-        separate parameter — not inside ``knn_backend_options`` —
-        because the executor is process-local (never pickled with the
-        options).  ``partial_fit`` appends interact cleanly with the
-        executor: the index routes each appended point to the owning
-        shard and republishes only the touched shard payloads.
     """
 
     def __init__(
@@ -93,10 +67,7 @@ class ProgressiveOneNN:
         test_y: np.ndarray,
         metric: str = "euclidean",
         record_curve: bool = True,
-        knn_backend: str | None = None,
-        knn_backend_options: dict | None = None,
         dtype=None,
-        scan_executor=None,
     ):
         # np.array (not asarray): the evaluator owns private copies, so
         # relabel_test can never write through to the caller's arrays.
@@ -113,27 +84,8 @@ class ProgressiveOneNN:
             raise DataValidationError("test set must not be empty")
         self.metric = metric
         self.record_curve = record_curve
-        self.knn_backend = knn_backend
-        self.knn_backend_options = dict(knn_backend_options or {})
         self.dtype = dtype
-        self._scan_executor = scan_executor
         self._kernel = make_kernel(metric, test_x, dtype=dtype)
-        self._index = None
-        self._index_y: np.ndarray | None = None
-        if knn_backend is not None:
-            # Built eagerly so an unknown backend, an unsupported
-            # backend/metric pair or a bad option fails here, not
-            # mid-stream at the first partial_fit.  Append-capable ANN
-            # backends keep this one instance for the whole stream.
-            index = make_index(
-                knn_backend,
-                metric=metric,
-                dtype=dtype,
-                **self._index_options(),
-            )
-            if index.supports_progressive_append:
-                self._index = index
-                self._index_y = np.empty(0, dtype=np.int64)
         self._test_x = self._kernel.bound
         self._test_y = test_y
         # Nearest-neighbor state in *comparable* units (squared
@@ -145,20 +97,6 @@ class ProgressiveOneNN:
         self._nn_index = np.full(len(test_x), -1, dtype=np.int64)
         self._train_seen = 0
         self.curve: list[CurvePoint] = []
-
-    def _index_options(self) -> dict:
-        """Backend constructor kwargs, with the scan executor injected.
-
-        The executor (and its bound store, for zero-copy shard
-        payloads) rides outside ``knn_backend_options`` so the options
-        mapping stays picklable for process-mode arm specs.
-        """
-        options = dict(self.knn_backend_options)
-        if self._scan_executor is not None:
-            options["scan_executor"] = self._scan_executor
-            if self._scan_executor.store is not None:
-                options.setdefault("store", self._scan_executor.store)
-        return options
 
     @property
     def test_size(self) -> int:
@@ -201,51 +139,12 @@ class ProgressiveOneNN:
                 f"{len(batch_x)} vs {len(batch_y)}"
             )
         if len(batch_x) > 0:
-            if self.knn_backend is None:
-                local, local_cmp = self._kernel.nearest_among(batch_x)
-                labels = batch_y[local]
-                global_idx = local + self._train_seen
-            elif self._index is not None:
-                # Persistent ANN backend: append the batch (encode-on-
-                # append for ivf_pq) and re-query the whole compressed
-                # corpus — sublinear in the corpus, and indices come
-                # back in global train positions already.
-                if self._index.num_fitted == 0:
-                    self._index.fit(batch_x, batch_y)
-                else:
-                    self._index.partial_fit(batch_x, batch_y)
-                self._index_y = np.concatenate((self._index_y, batch_y))
-                nn_dist, nn_idx = self._index.kneighbors(self._test_x, k=1)
-                global_idx = nn_idx[:, 0]
-                local_cmp = self._kernel.from_distance(nn_dist[:, 0])
-                labels = self._index_y[global_idx]
-            else:
-                index = make_index(
-                    self.knn_backend,
-                    metric=self.metric,
-                    dtype=self.dtype,
-                    **self._index_options(),
-                )
-                index.fit(batch_x, batch_y)
-                nn_dist, nn_idx = index.kneighbors(self._test_x, k=1)
-                local = nn_idx[:, 0]
-                local_cmp = self._kernel.from_distance(nn_dist[:, 0])
-                labels = batch_y[local]
-                global_idx = local + self._train_seen
-            if self._index is not None and not getattr(
-                self._index, "exact_distances", True
-            ):
-                # Estimated distances (ivf_pq with rerank=0) are not
-                # comparable across codebook refreshes — min-merging
-                # against a stale underestimate would pin a neighbor
-                # the index no longer returns.  Each persistent-path
-                # query is already corpus-wide, so replace wholesale.
-                improved = np.ones(len(local_cmp), dtype=bool)
-            else:
-                improved = local_cmp < self._nn_cmp
+            local, local_cmp = self._kernel.nearest_among(batch_x)
+            improved = local_cmp < self._nn_cmp
+            winners = local[improved]
             self._nn_cmp[improved] = local_cmp[improved]
-            self._nn_label[improved] = labels[improved]
-            self._nn_index[improved] = global_idx[improved]
+            self._nn_label[improved] = batch_y[winners]
+            self._nn_index[improved] = winners + self._train_seen
             self._train_seen += len(batch_x)
         err = self.error()
         if self.record_curve:
@@ -268,6 +167,10 @@ class ProgressiveOneNN:
         over the cached neighbor indices and remapped through a sorted
         lookup (duplicate corrections keep the last occurrence, matching
         the historical dict-remap semantics).
+
+        Indices are global train positions and must be non-negative.
+        Indices at or past :attr:`train_seen` are a no-op: those rows
+        are not ingested yet, and their labels arrive with their batch.
         """
         indices = np.asarray(indices, dtype=np.int64)
         new_labels = np.asarray(new_labels, dtype=np.int64)
@@ -275,15 +178,8 @@ class ProgressiveOneNN:
             raise DataValidationError("indices and new_labels length mismatch")
         if len(indices) == 0:
             return
-        if self._index_y is not None:
-            # The persistent ANN path re-queries the whole corpus on
-            # every batch and labels hits from _index_y, so corrections
-            # must land there too or a later batch would resurrect the
-            # stale label.  In-range writes in given order: among
-            # duplicate corrections the last one wins, matching the
-            # remap below.
-            in_range = indices < len(self._index_y)
-            self._index_y[indices[in_range]] = new_labels[in_range]
+        if indices.min() < 0:
+            raise DataValidationError("train index out of range: negative")
         order = np.argsort(indices, kind="stable")
         sorted_idx = indices[order]
         sorted_labels = new_labels[order]
@@ -299,11 +195,18 @@ class ProgressiveOneNN:
         self._nn_label[affected] = sorted_labels[positions]
 
     def relabel_test(self, indices: np.ndarray, new_labels: np.ndarray) -> None:
-        """Apply test-label corrections (the ground truth used for the error)."""
+        """Apply test-label corrections (the ground truth used for the error).
+
+        Indices must lie in ``[0, test_size)``.
+        """
         indices = np.asarray(indices, dtype=np.int64)
         new_labels = np.asarray(new_labels, dtype=np.int64)
         if len(indices) != len(new_labels):
             raise DataValidationError("indices and new_labels length mismatch")
+        if len(indices) and (
+            indices.min() < 0 or indices.max() >= self.test_size
+        ):
+            raise DataValidationError("test index out of range")
         self._test_y[indices] = new_labels
 
     def curve_arrays(self) -> tuple[np.ndarray, np.ndarray]:

@@ -49,14 +49,6 @@ Design
   pinned into the hot tier via :meth:`share_array` and shipped across
   the pool boundary as a tiny :class:`SharedArrayRef` instead of a
   pickled payload.
-- **Dtype-aware accounting for compressed blocks.**  Besides embedding
-  blocks, arbitrary auxiliary arrays — such as the uint8 PQ code
-  blocks of the ``"ivf_pq"`` search tier — can be parked under the
-  same budgets via :meth:`EmbeddingStore.put_block`; they are
-  accounted at their true ``nbytes`` (1 B/element for uint8 codes), so
-  a compressed corpus fits a cache budget its raw float blocks would
-  blow through.  Auxiliary keys are session-scoped on disk (their
-  content is caller-mutable, so they must not leak across runs).
 
 Lifecycle: the store owns its shared-memory segments.  ``close()``
 (also triggered by a ``with`` block and by a ``weakref`` finalizer at
@@ -113,7 +105,6 @@ _SEGMENT_HEADER = 256
 _SPILL_MAGIC = b"RPROSPL1"
 _SPILL_SUFFIX = ".blk"
 _SHARED_TOKEN = "\x00shared"
-_AUX_PREFIX = "\x00aux:"
 
 
 def default_store_dir() -> str:
@@ -359,8 +350,8 @@ def _read_spill(
     the bytes behind a given id are either the verified ones or a
     complete newer write).  Mapped pages are file-backed — the OS shares
     one physical copy across every process mapping the block and evicts
-    clean pages under pressure, so 10M-point shards page in without
-    doubling RSS.
+    clean pages under pressure, so large blocks page in without doubling
+    RSS.
     """
     path = _spill_path(directory, file_id)
     try:
@@ -598,8 +589,6 @@ class EmbeddingStore:
         # id(array) -> (SharedArrayRef, weakref): re-sharing a resolved
         # or already-shared array is O(1), never a re-digest.
         self._shared_refs: dict[int, tuple[SharedArrayRef, weakref.ref]] = {}
-        # publish_block bookkeeping: (owner, key) -> (version, cache key).
-        self._published: dict[tuple, tuple[int, tuple]] = {}
         # Spill files promoted at least once this session: their payload
         # digest has been verified, so later promotes may memmap.
         self._spill_promoted: set[str] = set()
@@ -711,54 +700,6 @@ class EmbeddingStore:
             return parts[0]
         return np.concatenate(parts, axis=0)
 
-    def put_block(self, owner: str, key, array: np.ndarray) -> None:
-        """Park an auxiliary array under the store's byte budget.
-
-        Lets a caller account arbitrary-dtype blocks — e.g. the uint8
-        PQ code matrix of an :class:`repro.knn.pq.IVFPQIndex` (see
-        ``benchmarks/test_pq_scaling.py``) — in the same tiers as the
-        float embedding blocks: accounting is dtype-aware (``nbytes``
-        of the array as given — one byte per element for uint8 codes,
-        four for float32 embeddings), and the array is stored
-        **as-is**, never cast to the store's embedding dtype.
-        ``owner`` namespaces the keys (e.g. one owner per index) so
-        they can never collide with transform tokens; blocks
-        participate in LRU eviction (and spill to ``store_dir``,
-        session-scoped) like any other, so owners must treat the store
-        as a cache, not as the primary copy.
-        """
-        array = np.asarray(array)
-        frozen = array.copy()
-        frozen.setflags(write=False)
-        with self._lock:
-            cache_key = (f"{_AUX_PREFIX}{owner}", key)
-            previous = self._blocks.pop(cache_key, None)
-            if previous is not None:
-                self._bytes -= previous.nbytes
-                self._free_entry(previous)
-            stale = self._attached_blocks.pop(cache_key, None)
-            if stale is not None:
-                self._free_entry(stale)
-            self._insert_hot(cache_key, frozen, replace_spill=True)
-
-    def get_block(self, owner: str, key) -> np.ndarray | None:
-        """Fetch an auxiliary array stored via :meth:`put_block` (or None)."""
-        cache_key = (f"{_AUX_PREFIX}{owner}", key)
-        with self._lock:
-            block = self._lookup_hot(cache_key)
-            if block is not None:
-                self._hits += 1
-                return block
-        if self.store_dir is not None:
-            array = self._load_spilled(cache_key)
-            if array is not None:
-                with self._lock:
-                    self._hits += 1
-                    return self._insert_hot(cache_key, array, spilled=True)
-        with self._lock:
-            self._misses += 1
-        return None
-
     def share_array(self, array: np.ndarray) -> SharedArrayRef | None:
         """Pin an array into the shared hot tier; return a picklable ref.
 
@@ -823,92 +764,6 @@ class EmbeddingStore:
             for entry in self._pinned.values():
                 self._free_entry(entry)
             self._pinned.clear()
-            self._published.clear()
-
-    def publish_block(
-        self, owner: str, key, array: np.ndarray, version: int = 0
-    ) -> SharedArrayRef | None:
-        """Pin a caller-owned array as a named, versioned shared block.
-
-        The sharded-scan tier publishes inverted-list payloads this way:
-        each ``(owner, key)`` slot holds exactly one live version, and
-        the version number is folded into the segment name — a republish
-        with a newer version gets a *fresh* segment while the old slot's
-        name is unlinked immediately, so a worker that cached an attach
-        for the previous version can never be served stale bytes under
-        the new ref (its old mapping stays valid until its views die,
-        per the usual segment lifetime rules).  Republishing the same
-        ``(owner, key, version)`` is an idempotent no-op returning the
-        existing ref.  Pinned publications live outside the LRU budget
-        and are released by :meth:`unpublish`, :meth:`release_shared`
-        or :meth:`close`.  Returns ``None`` when the store cannot share
-        (callers then ship the raw array instead).
-        """
-        with self._lock:
-            if not _SHM_AVAILABLE or not self._shared or self._attached_mode:
-                return None
-            slot = (owner, key)
-            previous = self._published.get(slot)
-            if previous is not None:
-                prev_version, prev_key = previous
-                entry = self._pinned.get(prev_key)
-                if prev_version == int(version) and entry is not None:
-                    return SharedArrayRef(
-                        prev_key,
-                        tuple(entry.array.shape),
-                        entry.array.dtype.str,
-                    )
-                if entry is not None:
-                    self._free_entry(self._pinned.pop(prev_key))
-                self._published.pop(slot, None)
-            array = np.ascontiguousarray(array)
-            cache_key = (f"{_AUX_PREFIX}{owner}", (key, int(version)))
-            name = self._segment_name(cache_key)
-            try:
-                segment, view = _write_segment(name, array)
-            except (OSError, ValueError, DataValidationError):
-                return None
-            self._cleanup["owned"][name] = segment
-            self._pinned[cache_key] = _HotBlock(
-                view, segment=segment, name=name, owned=True
-            )
-            self._published[slot] = (int(version), cache_key)
-            return SharedArrayRef(
-                cache_key, tuple(array.shape), array.dtype.str
-            )
-
-    def unpublish(self, owner: str) -> int:
-        """Release every :meth:`publish_block` slot of ``owner``.
-
-        Returns the number of slots released.  Safe to call on a store
-        that never published (or already released): a no-op then.
-        """
-        with self._lock:
-            slots = [s for s in self._published if s[0] == owner]
-            for slot in slots:
-                _, cache_key = self._published.pop(slot)
-                entry = self._pinned.pop(cache_key, None)
-                if entry is not None:
-                    self._free_entry(entry)
-            return len(slots)
-
-    def forget_attached(self, owner: str, keep=()) -> None:
-        """Drop cached attaches of ``owner``'s publications (workers).
-
-        Versioned republication gives every new payload a fresh segment
-        name; without pruning, a long-lived worker would pin one stale
-        mapping per superseded version.  Called by shard-scan tasks
-        after resolving their refs, keeping only the keys in ``keep``.
-        """
-        token = f"{_AUX_PREFIX}{owner}"
-        keep = set(keep)
-        with self._lock:
-            stale = [
-                k for k in self._attached_blocks
-                if k[0] == token and k not in keep
-            ]
-            for k in stale:
-                self._free_entry(self._attached_blocks.pop(k))
 
     def enable_sharing(self) -> None:
         """Back the hot tier with named shared-memory segments.
@@ -1106,8 +961,7 @@ class EmbeddingStore:
         return None
 
     def _insert_hot(
-        self, key, array: np.ndarray, spilled: bool = False,
-        replace_spill: bool = False,
+        self, key, array: np.ndarray, spilled: bool = False
     ) -> np.ndarray:
         """Insert one block (lock held); returns the canonical array."""
         existing = self._blocks.get(key)
@@ -1118,8 +972,8 @@ class EmbeddingStore:
         entry.spilled = spilled
         self._blocks[key] = entry
         self._bytes += entry.nbytes
-        if self.store_dir is not None and (replace_spill or not entry.spilled):
-            self._write_through(key, entry, force=replace_spill)
+        if self.store_dir is not None and not entry.spilled:
+            self._write_through(key, entry)
         self._evict_over_budget()
         return entry.array
 
@@ -1191,10 +1045,10 @@ class EmbeddingStore:
                 self._write_through(key, entry)
             self._free_entry(entry)
 
-    def _write_through(self, key, entry: _HotBlock, force: bool = False) -> None:
+    def _write_through(self, key, entry: _HotBlock) -> None:
         """Persist one hot block to the spill tier (lock held)."""
         file_id = self._block_id(key)
-        if not force and file_id in self._spill_index:
+        if file_id in self._spill_index:
             self._spill_index.move_to_end(file_id)
             entry.spilled = True
             return
@@ -1204,9 +1058,7 @@ class EmbeddingStore:
             return
         entry.spilled = True
         self._spill_writes += 1
-        token = key[0]
-        if isinstance(token, str) and not token.startswith("\x00"):
-            self._token_spills.setdefault(token, set()).add(file_id)
+        self._token_spills.setdefault(key[0], set()).add(file_id)
         self._spill_insert(file_id, size)
 
     def _spill_insert(self, file_id: str, size: int) -> None:
@@ -1231,7 +1083,7 @@ class EmbeddingStore:
         read-only memmaps instead — no second verification pass, no
         second RSS copy, and (because :meth:`_make_hot_entry` keeps
         memmaps process-local) one OS page-cache copy shared by every
-        worker that pages in the same shard file.
+        worker that pages in the same block file.
         """
         if self.store_dir is None:
             return None
@@ -1288,20 +1140,12 @@ class EmbeddingStore:
         return f"repro-{self._session}-{self._block_id(key)}"
 
     def _block_id(self, key) -> str:
-        """Stable hex id of a block key (segment + spill-file naming).
-
-        Auxiliary keys mix in the session: their content is
-        caller-mutable, so their spill files must not leak across
-        sessions the way content-addressed embedding blocks safely do.
-        """
+        """Stable hex id of a block key (segment + spill-file naming)."""
         token, sub = key
         hasher = hashlib.blake2b(digest_size=16)
-        if isinstance(token, str) and token.startswith(_AUX_PREFIX):
-            hasher.update(self._session.encode())
-            hasher.update(b"\x1f")
         hasher.update(str(token).encode("utf-8", "surrogatepass"))
         hasher.update(b"\x1f")
-        hasher.update(sub if isinstance(sub, bytes) else repr(sub).encode())
+        hasher.update(sub)
         return hasher.hexdigest()
 
     @staticmethod

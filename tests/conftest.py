@@ -96,27 +96,3 @@ def _no_shared_memory_leaks():
     leaked_dirs = glob.glob(f"{tmp_root}/repro-store-*")
     assert not leaked_shm, f"leaked /dev/shm segments: {leaked_shm}"
     assert not leaked_dirs, f"leaked ephemeral spill dirs: {leaked_dirs}"
-
-
-@pytest.fixture()
-def shard_leak_guard():
-    """Per-test guard against orphaned list-shard (or any store) segments.
-
-    Function-scoped sibling of the session guard above, for the
-    sharded-scan tests: snapshots /dev/shm before the test and asserts
-    afterwards — on success *and* exception paths alike, since fixture
-    teardown always runs — that no new ``repro-*`` segment survived
-    (published shard payloads must be freed by ``release_shards``/
-    ``unpublish`` or the index finalizer).
-    """
-
-    def snapshot() -> set:
-        if not os.path.isdir("/dev/shm"):
-            return set()
-        return {n for n in os.listdir("/dev/shm") if n.startswith("repro-")}
-
-    before = snapshot()
-    yield snapshot
-    gc.collect()  # run index/store finalizers before judging
-    leaked = snapshot() - before
-    assert not leaked, f"orphaned list-shard segments: {sorted(leaked)}"

@@ -157,43 +157,3 @@ class TestIncrementalState:
         )
         # Fully cleaned: the moderately easy target must become realistic.
         assert state.signal(0.62) is FeasibilitySignal.REALISTIC
-
-
-class TestAnnKnobValidation:
-    def test_stray_knobs_rejected_without_matching_backend(self):
-        with pytest.raises(DataValidationError, match="no effect"):
-            SnoopyConfig(pq_m=8)  # no backend selected
-        with pytest.raises(DataValidationError, match="no effect"):
-            SnoopyConfig(knn_backend="ivf", rerank=8)  # ivf ignores rerank
-        with pytest.raises(DataValidationError, match="nprobe"):
-            SnoopyConfig(knn_backend="brute_force", nprobe=4)
-
-    def test_knobs_accepted_by_consuming_backend(self):
-        config = SnoopyConfig(
-            knn_backend="ivf_pq", pq_m=8, pq_nbits=8, pq_dim=16,
-            nprobe=4, rerank=16,
-        )
-        assert config.knn_backend_options() == {
-            "pq_m": 8, "pq_nbits": 8, "pq_dim": 16,
-            "nprobe": 4, "rerank": 16,
-        }
-        assert SnoopyConfig(knn_backend="ivf", nprobe=4).knn_backend_options() == {
-            "nprobe": 4
-        }
-
-    def test_sharding_knobs(self):
-        config = SnoopyConfig(
-            knn_backend="ivf_pq", pq_nbits=4, pq_packed=True, knn_shards=2,
-        )
-        assert config.knn_backend_options() == {
-            "pq_nbits": 4, "pq_packed": True, "shards": 2,
-        }
-        assert SnoopyConfig(
-            knn_backend="ivf", knn_shards=3
-        ).knn_backend_options() == {"shards": 3}
-        with pytest.raises(DataValidationError, match="knn_shards"):
-            SnoopyConfig(knn_backend="brute_force", knn_shards=2)
-        with pytest.raises(DataValidationError, match="pq_packed"):
-            SnoopyConfig(knn_backend="ivf", pq_packed=True)
-        with pytest.raises(DataValidationError, match="knn_shards"):
-            SnoopyConfig(knn_backend="ivf", knn_shards=0)

@@ -6,13 +6,12 @@ import pytest
 
 from repro.estimators.cover_hart import OneNNEstimator
 from repro.estimators.knn_loo import KNNLooEstimator
-from repro.exceptions import DataValidationError
+from repro.exceptions import DataValidationError, UnknownBackendError
 from repro.knn import (
     BruteForceKNN,
     IncrementalKNNIndex,
     IVFFlatIndex,
     KNNIndex,
-    ProgressiveOneNN,
     available_backends,
     majority_vote,
     make_index,
@@ -21,7 +20,7 @@ from repro.knn import (
 
 class TestFactory:
     def test_backends_registered(self):
-        assert set(available_backends()) >= {"brute_force", "incremental", "ivf"}
+        assert available_backends() == ("brute_force", "incremental", "ivf")
 
     @pytest.mark.parametrize(
         "backend,cls",
@@ -32,14 +31,30 @@ class TestFactory:
             ("ivf", IVFFlatIndex),
         ],
     )
-    def test_make_index_types(self, backend, cls):
+    def test_make_index_types(self, backend, cls, rng):
         index = make_index(backend)
         assert isinstance(index, cls)
         assert isinstance(index, KNNIndex)
+        index.fit(rng.normal(size=(20, 3)), rng.integers(0, 2, 20))
+        for k in (0, -1):
+            with pytest.raises(
+                DataValidationError, match=f"k must be >= 1, got {k}"
+            ):
+                index.kneighbors(rng.normal(size=(2, 3)), k=k)
 
     def test_unknown_backend_raises(self):
         with pytest.raises(DataValidationError, match="unknown"):
             make_index("faiss")
+
+    def test_unknown_backend_error_names_backends(self):
+        with pytest.raises(UnknownBackendError) as excinfo:
+            make_index("annoy")
+        message = str(excinfo.value)
+        assert "annoy" in message
+        for name in available_backends():
+            assert name in message
+        # Back-compat: still catchable as a validation error.
+        assert isinstance(excinfo.value, DataValidationError)
 
     def test_ivf_rejects_cosine(self):
         with pytest.raises(DataValidationError, match="euclidean"):
@@ -131,31 +146,6 @@ class TestMajorityVote:
 
 
 class TestSwappableBackends:
-    def test_progressive_brute_force_backend_matches_builtin(self, rng):
-        test_x = rng.normal(size=(25, 4))
-        test_y = rng.integers(0, 3, 25)
-        builtin = ProgressiveOneNN(test_x, test_y)
-        swapped = ProgressiveOneNN(test_x, test_y, knn_backend="brute_force")
-        for _ in range(4):
-            batch_x = rng.normal(size=(20, 4))
-            batch_y = rng.integers(0, 3, 20)
-            assert swapped.partial_fit(batch_x, batch_y) == builtin.partial_fit(
-                batch_x, batch_y
-            )
-        np.testing.assert_array_equal(
-            swapped.nearest_indices, builtin.nearest_indices
-        )
-
-    def test_progressive_invalid_backend_fails_at_construction(self, rng):
-        test_x = rng.normal(size=(5, 2))
-        test_y = rng.integers(0, 2, 5)
-        with pytest.raises(DataValidationError, match="unknown"):
-            ProgressiveOneNN(test_x, test_y, knn_backend="faiss")
-        with pytest.raises(DataValidationError, match="euclidean"):
-            ProgressiveOneNN(
-                test_x, test_y, metric="cosine", knn_backend="ivf"
-            )
-
     def test_one_nn_estimator_ivf_backend(self, dataset):
         exact = OneNNEstimator().estimate(
             dataset.train_x, dataset.train_y,
@@ -175,16 +165,3 @@ class TestSwappableBackends:
                 dataset.train_x, dataset.train_y,
                 dataset.test_x, dataset.test_y, dataset.num_classes,
             )
-
-    def test_snoopy_config_accepts_backend(self, dataset, catalog):
-        from repro.core.snoopy import Snoopy, SnoopyConfig
-
-        config = SnoopyConfig(
-            strategy="uniform",
-            budget=240,
-            pull_size=60,
-            knn_backend="brute_force",
-            extrapolate=False,
-        )
-        report = Snoopy(catalog, config).run(dataset, target_accuracy=0.9)
-        assert report.per_transform

@@ -5,7 +5,7 @@ import pytest
 
 from repro.exceptions import DataValidationError
 from repro.knn.brute_force import BruteForceKNN
-from repro.knn.ivf import IVFFlatIndex
+from repro.knn.ivf import IVFFlatIndex, _select_pool_topk
 from repro.knn.kmeans import KMeans
 
 
@@ -107,6 +107,13 @@ class TestIVFFlat:
         )
         with pytest.raises(DataValidationError):
             ivf.kneighbors(rng.normal(size=(2, 3)), k=11)
+
+    def test_select_pool_topk_total_order(self):
+        est = np.array([[3.0, 1.0, 1.0, np.inf, 2.0]])
+        idx = np.array([[7, 9, 4, -1, 5]])
+        top_est, top_idx = _select_pool_topk(est, idx, 3)
+        np.testing.assert_array_equal(top_est, [[1.0, 1.0, 2.0]])
+        np.testing.assert_array_equal(top_idx, [[4, 9, 5]])
 
     def test_nprobe_clamped_to_nlist(self):
         ivf = IVFFlatIndex(nlist=4, nprobe=100)

@@ -144,3 +144,33 @@ class TestRelabel:
         assert evaluator.error() == pytest.approx(
             index.error(test_x, test_y, k=1)
         )
+
+    def test_relabel_test_rejects_out_of_range_indices(self, data):
+        train_x, train_y, test_x, test_y = data
+        evaluator = ProgressiveOneNN(test_x, test_y)
+        evaluator.partial_fit(train_x, train_y)
+        before = evaluator.test_labels
+        for bad in (-1, len(test_y)):
+            with pytest.raises(DataValidationError, match="out of range"):
+                evaluator.relabel_test(np.array([bad]), np.array([1]))
+        # A rejected call writes nothing (not even the last label).
+        np.testing.assert_array_equal(evaluator.test_labels, before)
+
+    def test_relabel_train_rejects_negative_indices(self, data):
+        train_x, train_y, test_x, test_y = data
+        evaluator = ProgressiveOneNN(test_x, test_y)
+        evaluator.partial_fit(train_x, train_y)
+        before = evaluator.nearest_labels
+        with pytest.raises(DataValidationError, match="out of range"):
+            evaluator.relabel_train(np.array([0, -1]), np.array([1, 1]))
+        np.testing.assert_array_equal(evaluator.nearest_labels, before)
+
+    def test_relabel_train_past_train_seen_is_noop(self, data):
+        train_x, train_y, test_x, test_y = data
+        evaluator = ProgressiveOneNN(test_x, test_y)
+        evaluator.partial_fit(train_x[:100], train_y[:100])
+        before = evaluator.nearest_labels
+        # Rows 100+ are not ingested yet: their labels arrive with
+        # their batch, so a correction now changes nothing.
+        evaluator.relabel_train(np.array([100, 150]), np.array([0, 0]))
+        np.testing.assert_array_equal(evaluator.nearest_labels, before)

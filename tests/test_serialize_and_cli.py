@@ -210,42 +210,6 @@ class TestCLI:
         assert capsys.readouterr().out.strip() == str(tmp_path)
 
 
-@pytest.mark.ann
-class TestCLIAnnBackend:
-    def test_study_with_ivf_pq_backend(self, capsys):
-        code = main([
-            "study", "cifar10", "--target", "0.9",
-            "--scale", "0.005", "--max-embeddings", "3",
-            "--knn-backend", "ivf_pq", "--pq-m", "4", "--pq-nbits", "4",
-            "--pq-packed", "--knn-shards", "2",
-            "--nprobe", "4", "--rerank", "16",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "Feasibility study" in out
-
-    def test_ann_study_tracks_exact_estimate(self, capsys):
-        """The compressed backend stays within the convergence tolerance."""
-        args = [
-            "study", "cifar10", "--target", "0.9", "--json",
-            "--scale", "0.005", "--max-embeddings", "3",
-        ]
-        assert main(args) == 0
-        exact = json.loads(capsys.readouterr().out)
-        assert main(
-            args + ["--knn-backend", "ivf_pq", "--rerank", "32"]
-        ) == 0
-        approx = json.loads(capsys.readouterr().out)
-        assert abs(exact["ber_estimate"] - approx["ber_estimate"]) <= 0.02
-
-    def test_unknown_backend_rejected_by_parser(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["study", "cifar10", "--target", "0.9",
-                 "--knn-backend", "bogus"]
-            )
-
-
 class TestCompareBaselinesUpdate:
     def test_update_runs_tracked_benchmarks(self, capsys):
         import importlib.util
@@ -267,14 +231,7 @@ class TestCompareBaselinesUpdate:
         for filename, *_ in module.TRACKED:
             assert module.SOURCES[filename] in command
         out = capsys.readouterr().out
-        assert "pq_scaling.txt" in out
+        assert "store_scaling.txt" in out
         # A failing benchmark run propagates its exit code.
         assert module.update_baselines(runner=lambda cmd: 3) == 3
 
-    def test_stray_ann_knob_is_a_clean_cli_error(self, capsys):
-        code = main([
-            "study", "cifar10", "--target", "0.9",
-            "--scale", "0.005", "--max-embeddings", "3", "--pq-m", "4",
-        ])
-        assert code == 2
-        assert "no effect" in capsys.readouterr().err

@@ -226,27 +226,13 @@ class TestSpillTier:
             store.invalidate(transform)
             assert len(_spill_files(tmp_path)) == 0
 
-    def test_aux_blocks_are_session_scoped_on_disk(self, tmp_path):
-        codes = np.arange(64, dtype=np.uint8).reshape(16, 4)
-        with EmbeddingStore(store_dir=tmp_path) as store:
-            store.put_block("pq", "codes", codes)
-            assert len(_spill_files(tmp_path)) == 1
-        # A new session must not see the previous session's aux blocks
-        # (their content is caller-mutable, unlike embedding blocks).
-        with EmbeddingStore(store_dir=tmp_path) as store:
-            assert store.get_block("pq", "codes") is None
-
-    def test_aux_block_spill_round_trip_within_session(self, tmp_path):
-        codes = np.arange(64, dtype=np.uint8).reshape(16, 4)
-        block_bytes = codes.nbytes
-        with EmbeddingStore(max_bytes=block_bytes, store_dir=tmp_path) as store:
-            store.put_block("pq", "codes", codes)
-            # Push the codes out of the hot tier.
-            store.put_block("pq", "other", np.zeros((16, 4), dtype=np.uint8))
-            back = store.get_block("pq", "codes")
-            assert back is not None
-            assert back.dtype == np.uint8
-            np.testing.assert_array_equal(back, codes)
+    def test_block_file_ids_are_stable_across_versions(self):
+        # Spill file names are the persistence format: a spill dir
+        # written by an earlier version must keep warm-starting, so the
+        # id of a given block key is pinned to its historical value.
+        key = ("pca@0123456789abcdef01234567/<f4", bytes(range(16)))
+        with EmbeddingStore() as store:
+            assert store._block_id(key) == "7bc7430fcf4491e286506df8355bd52e"
 
 
 class TestScanAndClear:
@@ -380,15 +366,6 @@ def _worker_embed(payload):
     return os.getpid(), out.copy(), store.stats.misses
 
 
-def _worker_put_get(payload):
-    """Concurrent aux-block writers/readers over one shared store."""
-    store, role, value = payload
-    if role == "writer":
-        store.put_block("coherency", "shared-key", value)
-        return os.getpid(), None
-    return os.getpid(), store.get_block("coherency", "shared-key")
-
-
 @pytest.mark.slow
 class TestCrossProcessCoherency:
     def test_two_workers_agree_on_embeddings(self, data, tmp_path):
@@ -410,25 +387,6 @@ class TestCrossProcessCoherency:
             # Warm store: workers recomputed nothing, anywhere.
             assert miss_a == 0 and miss_b == 0
             assert transform.calls_logged == warm_calls
-
-    def test_concurrent_put_block_readers_see_writer_value(self, rng):
-        codes = (rng.random((32, 8)) * 255).astype(np.uint8)
-        with EmbeddingStore(shared=True) as store:
-            with ProcessPoolExecutor(max_workers=2) as pool:
-                list(pool.map(
-                    _worker_put_get, [(store, "writer", codes)]
-                ))
-                results = list(pool.map(
-                    _worker_put_get,
-                    [(store, "reader", None), (store, "reader", None)],
-                ))
-            for _pid, seen in results:
-                assert seen is not None
-                np.testing.assert_array_equal(seen, codes)
-            # The parent agrees with the workers too (via the spill dir).
-            mine = store.get_block("coherency", "shared-key")
-            assert mine is not None
-            np.testing.assert_array_equal(mine, codes)
 
     def test_worker_survives_parent_side_eviction(self, data, tmp_path):
         transform = LoggingTransform(6, tmp_path / "calls.log").fit(data)

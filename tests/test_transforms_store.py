@@ -281,50 +281,3 @@ class TestEmbedOrTransform:
         transform.calls = 0
         embed_or_transform(store, transform, data)
         assert transform.calls == 0
-
-
-class TestAuxiliaryBlocks:
-    def test_put_and_get_preserve_dtype(self, data):
-        store = EmbeddingStore(dtype="float32")
-        codes = np.arange(64, dtype=np.uint8).reshape(16, 4)
-        store.put_block("ivf_pq", "codes", codes)
-        cached = store.get_block("ivf_pq", "codes")
-        assert cached.dtype == np.uint8  # never cast to the store dtype
-        np.testing.assert_array_equal(cached, codes)
-        assert store.get_block("ivf_pq", "missing") is None
-
-    def test_accounting_is_dtype_aware(self):
-        store = EmbeddingStore()
-        codes = np.zeros((100, 8), dtype=np.uint8)
-        floats = np.zeros((100, 8), dtype=np.float32)
-        store.put_block("pq", "codes", codes)
-        assert store.stats.current_bytes == codes.nbytes  # 1 B/element
-        store.put_block("pq", "floats", floats)
-        assert store.stats.current_bytes == codes.nbytes + floats.nbytes
-
-    def test_replacement_updates_accounting(self):
-        store = EmbeddingStore()
-        store.put_block("pq", "codes", np.zeros((100, 8), dtype=np.uint8))
-        store.put_block("pq", "codes", np.zeros((50, 8), dtype=np.uint8))
-        assert store.stats.current_bytes == 50 * 8
-        assert len(store) == 1
-
-    def test_compressed_blocks_fit_budget_raw_does_not(self):
-        raw = np.zeros((1000, 32), dtype=np.float32)
-        codes = np.zeros((1000, 4), dtype=np.uint8)
-        store = EmbeddingStore(max_bytes=raw.nbytes // 8)
-        store.put_block("pq", "codes", codes)
-        assert store.stats.evictions == 0
-        store.put_block("pq", "raw", raw)  # blows the budget
-        assert store.stats.evictions >= 1
-
-    def test_stored_copy_is_isolated(self):
-        store = EmbeddingStore()
-        codes = np.zeros((4, 4), dtype=np.uint8)
-        store.put_block("pq", "codes", codes)
-        codes[:] = 7  # caller mutation must not reach the cache
-        np.testing.assert_array_equal(
-            store.get_block("pq", "codes"), np.zeros((4, 4), dtype=np.uint8)
-        )
-        with pytest.raises(ValueError):
-            store.get_block("pq", "codes")[0, 0] = 1
