@@ -2,7 +2,10 @@
 
 ``pip install -e .`` on old pip/setuptools combinations requires
 ``bdist_wheel``; this shim keeps ``python setup.py develop`` working as a
-fallback.  All real metadata lives in pyproject.toml.
+fallback.  The repo has no ``pyproject.toml`` and ``setup()`` gets no
+arguments: setuptools discovers the ``repro`` package under ``src/`` and
+names the distribution after it, at version 0.0.0.  No dependencies are
+declared; the runtime needs numpy and scipy (see README, Tests).
 """
 
 from setuptools import setup

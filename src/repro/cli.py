@@ -252,13 +252,7 @@ def _cmd_study(args: argparse.Namespace) -> int:
         print("error: strategy 'perfect' needs oracle knowledge; "
               "use it from the API", file=sys.stderr)
         return 2
-    try:
-        config = SnoopyConfig(**config_kwargs)
-    except DataValidationError as error:
-        # e.g. a non-positive --store-spill-mb.
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    with Snoopy(catalog, config) as system:
+    with Snoopy(catalog, SnoopyConfig(**config_kwargs)) as system:
         report = system.run(dataset, target_accuracy=args.target)
     if args.json:
         from repro.reporting.serialize import report_to_json
@@ -393,20 +387,30 @@ def _cmd_store(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Entry point; returns a process exit code."""
+    """Entry point; returns a process exit code.
+
+    Misuse that only the library detects (``--scale 0``, ``--noise 1.5``,
+    a non-positive ``--store-spill-mb``) raises
+    :class:`DataValidationError`; like an option the parser rejects, it
+    prints ``error: <message>`` and exits 2.
+    """
     args = build_parser().parse_args(argv)
-    if args.command == "datasets":
-        return _cmd_datasets()
-    if args.command == "catalog":
-        return _cmd_catalog(args)
-    if args.command == "study":
-        return _cmd_study(args)
-    if args.command == "clean-loop":
-        return _cmd_clean_loop(args)
-    if args.command == "feebee":
-        return _cmd_feebee(args)
-    if args.command == "store":
-        return _cmd_store(args)
+    try:
+        if args.command == "datasets":
+            return _cmd_datasets()
+        if args.command == "catalog":
+            return _cmd_catalog(args)
+        if args.command == "study":
+            return _cmd_study(args)
+        if args.command == "clean-loop":
+            return _cmd_clean_loop(args)
+        if args.command == "feebee":
+            return _cmd_feebee(args)
+        if args.command == "store":
+            return _cmd_store(args)
+    except DataValidationError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

@@ -11,7 +11,6 @@ estimator comparison rather than as a practical workhorse.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from repro.estimators.base import (
     BayesErrorEstimator,
@@ -115,28 +114,28 @@ class KNNExtrapolationEstimator(BayesErrorEstimator):
     def _fit(
         self, sizes: np.ndarray, errors: np.ndarray
     ) -> tuple[float, float, float]:
+        from scipy.optimize import curve_fit
+
+        p0 = [max(errors[-1], 1e-4), max(errors[0] - errors[-1], 1e-4)]
         if self.effective_dim is not None:
             exponent = -2.0 / self.effective_dim
 
             def model(n, r_inf, coeff):
                 return r_inf + coeff * n**exponent
 
-            p0 = [max(errors[-1], 1e-4), max(errors[0] - errors[-1], 1e-4)]
             bounds = ([0.0, 0.0], [1.0, np.inf])
-            params, _ = curve_fit(
-                model, sizes, errors, p0=p0, bounds=bounds, maxfev=20_000
-            )
-            return float(params[0]), float(params[1]), float(self.effective_dim)
+        else:
 
-        def model(n, r_inf, coeff, dim):
-            return r_inf + coeff * n ** (-2.0 / dim)
+            def model(n, r_inf, coeff, dim):
+                return r_inf + coeff * n ** (-2.0 / dim)
 
-        p0 = [max(errors[-1], 1e-4), max(errors[0] - errors[-1], 1e-4), 8.0]
-        bounds = ([0.0, 0.0, 1.0], [1.0, np.inf, 100.0])
+            p0.append(8.0)
+            bounds = ([0.0, 0.0, 1.0], [1.0, np.inf, 100.0])
         try:
             params, _ = curve_fit(
                 model, sizes, errors, p0=p0, bounds=bounds, maxfev=20_000
             )
         except RuntimeError as exc:  # curve_fit failed to converge
             raise EstimatorError(f"knn_extrapolation fit failed: {exc}") from exc
-        return float(params[0]), float(params[1]), float(params[2])
+        dim = self.effective_dim if self.effective_dim is not None else params[2]
+        return float(params[0]), float(params[1]), float(dim)

@@ -21,7 +21,6 @@ dense pairwise distance matrix — exact and adequate at this scale.
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse.csgraph import minimum_spanning_tree
 
 from repro.estimators.base import (
     BayesErrorEstimator,
@@ -35,6 +34,8 @@ def friedman_rafsky_cross_edges(
     points_a: np.ndarray, points_b: np.ndarray
 ) -> int:
     """Cross-class edge count of the Euclidean MST over the pooled points."""
+    from scipy.sparse.csgraph import minimum_spanning_tree
+
     pooled = np.concatenate([points_a, points_b])
     membership = np.concatenate(
         [np.zeros(len(points_a), dtype=bool), np.ones(len(points_b), dtype=bool)]

@@ -13,7 +13,6 @@ comparison, not as Snoopy's workhorse.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import logsumexp
 
 from repro.estimators.base import (
     BayesErrorEstimator,
@@ -44,6 +43,8 @@ class KDEEstimator(BayesErrorEstimator):
         test_y: np.ndarray,
         num_classes: int,
     ) -> BEREstimate:
+        from scipy.special import logsumexp
+
         train_x, train_y, test_x, test_y = self._validate(
             train_x, train_y, test_x, test_y, num_classes
         )

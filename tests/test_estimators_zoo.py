@@ -167,6 +167,22 @@ class TestExtrapolation:
         assert sizes == sorted(sizes)
         assert len(sizes) == len(estimate.details["curve_errors"])
 
+    @pytest.mark.parametrize("effective_dim", [None, 4])
+    def test_non_converging_fit_raises_estimator_error(
+        self, easy_split, monkeypatch, effective_dim
+    ):
+        import scipy.optimize
+
+        def no_convergence(*args, **kwargs):
+            raise RuntimeError("Optimal parameters not found")
+
+        monkeypatch.setattr(scipy.optimize, "curve_fit", no_convergence)
+        estimator = KNNExtrapolationEstimator(
+            num_grid_points=5, effective_dim=effective_dim
+        )
+        with pytest.raises(EstimatorError, match="fit failed"):
+            estimator.estimate(*easy_split, 3)
+
 
 class TestRegistry:
     def test_all_estimators_registered(self):

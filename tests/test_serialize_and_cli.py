@@ -136,6 +136,32 @@ class TestCLI:
             "study", "cifar10", "--target", "1.5", "--scale", "0.005",
         ]) == 2
 
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            (["study", "cifar10", "--target", "0.9", "--scale", "0"],
+             "scale must be in (0, 1]"),
+            (["study", "cifar10", "--target", "0.9", "--scale", "0.05",
+              "--noise", "1.5"],
+             "rho must be in [0, 1]"),
+            (["study", "cifar10", "--target", "0.9", "--scale", "0.005",
+              "--store-spill-mb", "0"],
+             "store_spill_bytes must be positive"),
+            (["catalog", "cifar10", "--scale", "0"],
+             "scale must be in (0, 1]"),
+            (["feebee", "cifar10", "--scale", "0"],
+             "scale must be in (0, 1]"),
+            (["clean-loop", "cifar10", "--target", "0.8", "--noise", "1.5",
+              "--scale", "0.05"],
+             "rho must be in [0, 1]"),
+        ],
+    )
+    def test_library_misuse_is_a_clean_error(self, argv, message, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert message in err
+
     def test_feebee_command(self, capsys):
         code = main([
             "feebee", "cifar10", "--scale", "0.005", "--estimator", "1nn",

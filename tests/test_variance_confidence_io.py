@@ -41,6 +41,33 @@ class TestWilsonInterval:
         with pytest.raises(DataValidationError):
             wilson_interval(0.2, 10, confidence=1.0)
 
+    @pytest.mark.parametrize(
+        "confidence", [1e-6, 0.5, 0.9, 0.95, 0.99, 0.999999]
+    )
+    @pytest.mark.parametrize(
+        ("error_rate", "num_samples"),
+        [(0.0, 1), (0.2, 100), (0.5, 37), (0.013, 10_000), (1.0, 7)],
+    )
+    def test_bit_identical_to_norm_ppf(
+        self, error_rate, num_samples, confidence
+    ):
+        from scipy.stats import norm
+
+        z = float(norm.ppf(0.5 + confidence / 2.0))
+        denom = 1.0 + z**2 / num_samples
+        center = (error_rate + z**2 / (2 * num_samples)) / denom
+        margin = (
+            z
+            * np.sqrt(
+                error_rate * (1 - error_rate) / num_samples
+                + z**2 / (4 * num_samples**2)
+            )
+            / denom
+        )
+        interval = wilson_interval(error_rate, num_samples, confidence)
+        assert interval.low == max(0.0, center - margin)
+        assert interval.high == min(1.0, center + margin)
+
     def test_coverage_monte_carlo(self, rng):
         # ~95% of Wilson intervals over binomial draws cover the truth.
         truth = 0.15
