@@ -1,14 +1,16 @@
 """Diff freshly-run benchmark tables against the checked-in baselines.
 
 Usage (from the repository root, after running the slow benchmarks so
-``benchmarks/results/`` holds fresh tables)::
+``benchmarks/fresh/`` holds fresh tables)::
 
     python benchmarks/compare_baselines.py [--git-ref HEAD]
 
-For each tracked throughput metric the script reads the baseline value
-from ``<git-ref>:benchmarks/results/<file>`` and the current value from
-the working tree and prints a regression report, flagging any
-throughput metric that dropped by more than ``--threshold`` (default
+Benchmarks write their tables to ``benchmarks/fresh/``, which git
+ignores, so running them never rewrites a tracked file.  For each
+tracked throughput metric the script reads the baseline value from
+``<git-ref>:benchmarks/results/<file>`` and the current value from
+``benchmarks/fresh/<file>`` and prints a regression report, flagging
+any throughput metric that dropped by more than ``--threshold`` (default
 30%).  Checked-in baselines come from whatever machine last
 regenerated them, so an absolute-throughput delta against a different
 (e.g. CI) machine is a prompt to look, not proof of a regression: the
@@ -17,8 +19,10 @@ metrics exit 1 (useful when baseline and current run on the same
 hardware).
 
 After an intentional perf change, ``--update`` re-runs the tracked
-benchmark modules so every baseline table under ``benchmarks/results/``
-is rewritten in place (then committed), instead of hand-editing tables.
+benchmark modules and then copies every table in ``benchmarks/fresh/``
+over ``benchmarks/results/`` (commit them afterwards), instead of
+hand-editing tables.  Tables of other benchmarks run beforehand are
+promoted the same way.
 
 The parser understands the fixed-width tables produced by
 ``repro.reporting.tables.render_table``: column boundaries are taken
@@ -30,10 +34,15 @@ from __future__ import annotations
 import argparse
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 
+#: Checked-in baseline tables.
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+
+#: Where benchmarks write fresh tables (gitignored; see conftest.py).
+FRESH_DIR = pathlib.Path(__file__).parent / "fresh"
 
 #: (file, key columns, throughput columns — higher is better).
 TRACKED = (
@@ -120,14 +129,15 @@ def _git_show(ref: str, path: str) -> str | None:
 
 
 def update_baselines(runner=None) -> int:
-    """Regenerate every tracked baseline file by re-running its benchmark.
+    """Re-run the tracked benchmarks, then promote every fresh table.
 
     After an intentional perf change this replaces the manual
     edit-the-table dance: the tracked benchmark modules are re-run (one
-    pytest invocation), each rewrites its table under
-    ``benchmarks/results/``, and committing those files promotes the
-    fresh numbers to the new baseline.  ``runner`` is injectable for
-    tests; it defaults to ``subprocess.call`` on this interpreter.
+    pytest invocation), each writes its table to ``benchmarks/fresh/``,
+    and every table there is copied over ``benchmarks/results/``;
+    committing those files promotes the fresh numbers to the new
+    baseline.  A failed run promotes nothing.  ``runner`` is injectable
+    for tests; it defaults to ``subprocess.call`` on this interpreter.
     """
     root = pathlib.Path(__file__).parent.parent
     modules = sorted(set(SOURCES[filename] for filename, *_ in TRACKED))
@@ -150,8 +160,10 @@ def update_baselines(runner=None) -> int:
     if status != 0:
         print(f"benchmark run failed (exit {status}); baselines not updated")
         return status
-    for filename, *_ in TRACKED:
-        print(f"updated benchmarks/results/{filename}")
+    RESULTS_DIR.mkdir(exist_ok=True)
+    for fresh in sorted(FRESH_DIR.glob("*.txt")):
+        shutil.copyfile(fresh, RESULTS_DIR / fresh.name)
+        print(f"updated benchmarks/results/{fresh.name}")
     print("commit the rewritten files to promote them to the new baseline")
     return 0
 
@@ -170,8 +182,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--update", action="store_true",
-        help="re-run the tracked benchmarks to rewrite the baseline "
-        "files in benchmarks/results/ (commit them afterwards), "
+        help="re-run the tracked benchmarks, copy every fresh table "
+        "over benchmarks/results/ (commit them afterwards), "
         "then print the report against --git-ref",
     )
     args = parser.parse_args(argv)
@@ -182,7 +194,7 @@ def main(argv=None) -> int:
     regressions = []
     print(f"benchmark regression report vs {args.git_ref}")
     for filename, key_columns, value_columns in TRACKED:
-        current_path = RESULTS_DIR / filename
+        current_path = FRESH_DIR / filename
         if not current_path.exists():
             print(f"\n{filename}: no fresh result — skipped")
             continue

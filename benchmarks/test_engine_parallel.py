@@ -1,35 +1,29 @@
-"""Staged-engine benchmark: parallel backends + warm EmbeddingStore.
+"""Staged-engine benchmark: serial vs thread backends + warm EmbeddingStore.
 
 Measures, on a >= 8-arm catalog run:
 
-- wall-clock of the serial / thread / process execution backends (the
-  reports must be bit-identical — only wall-clock may differ), with the
+- wall-clock of the serial and thread execution backends (the reports
+  must be bit-identical — only wall-clock may differ), with the
   per-backend store hit rate recorded alongside,
-- the bytes a process worker receives per pull task *before* the
-  shared-memory store (full pickled training pool) and *after* (a
-  :class:`SharedArrayRef` naming the parent's segment),
 - the EmbeddingStore hit rate and the wall-clock of a *second* strategy
   run over a warm store, which must perform **zero** ``transform``
   calls.
 
-Thread/process speedup over serial is asserted only when more than one
-CPU core is available to the process — numpy's BLAS kernels release the
-GIL, so the thread backend needs real cores to overlap arm pulls, and
-the process backend needs them to amortize its pool startup.  The
-recorded results always state the worker/core count.
+Thread speedup over serial is asserted only when more than one CPU core
+is available to the process — numpy's BLAS kernels release the GIL, so
+the thread backend needs real cores to overlap arm pulls.  The recorded
+results always state the worker/core count.
 
 Marked ``slow``: deselect with ``-m "not slow"`` to keep tier-1 fast.
 """
 
 from __future__ import annotations
 
-import pickle
 import time
 
 import pytest
 
 from conftest import write_result
-from repro.bandit.arms import build_arms
 from repro.core.engine import default_max_workers
 from repro.core.snoopy import Snoopy, SnoopyConfig
 from repro.datasets import load
@@ -79,13 +73,6 @@ def _count_transform_calls(catalog):
     return counter
 
 
-def _pull_task_bytes(catalog, dataset, store):
-    """Pickled size of one pull task (arm + plan), as the pool ships it."""
-    arms = build_arms(list(catalog)[:1], dataset, store=store, rng=0)
-    task = (arms[0], "pull_to", {"target": 512, "pull_size": 256})
-    return len(pickle.dumps(task))
-
-
 def _timed_run(catalog, dataset, backend, store, strategy="uniform"):
     config = SnoopyConfig(
         strategy=strategy,
@@ -106,33 +93,17 @@ def test_engine_parallel_and_warm_store(bench_dataset, bench_catalog):
     assert num_arms >= 8, "benchmark needs a >= 8-arm catalog"
     workers = default_max_workers()
 
-    # Bytes a process worker receives per pull task: a plain store ships
-    # the arm's full training pool; a sharing-enabled store ships a
-    # segment reference instead.
-    with EmbeddingStore() as plain:
-        bytes_before = _pull_task_bytes(catalog, cifar10, plain)
-    with EmbeddingStore(shared=True) as sharing:
-        bytes_after = _pull_task_bytes(catalog, cifar10, sharing)
-    # The training pool — the term that scales with the corpus — drops
-    # to a fixed-size ref; what remains is the arm's private evaluator
-    # state (per-test-point comparable distances), which must ship.
-    assert bytes_after < bytes_before / 4, (
-        f"shared store should shrink pull tasks >4x here: "
-        f"{bytes_before} -> {bytes_after} bytes"
-    )
-
     # Cold runs, one fresh store per backend: bit-identical reports.
     times: dict[str, float] = {}
     reports = {}
     backend_stats = {}
-    for backend in ("serial", "thread", "process"):
+    for backend in ("serial", "thread"):
         with EmbeddingStore() as store:
             elapsed, report = _timed_run(catalog, cifar10, backend, store)
             backend_stats[backend] = store.stats
         times[backend] = elapsed
         reports[backend] = report
     assert _fingerprint(reports["thread"]) == _fingerprint(reports["serial"])
-    assert _fingerprint(reports["process"]) == _fingerprint(reports["serial"])
 
     # Warm store: a full-coverage run, then a second strategy over the
     # same store must embed nothing at all.
@@ -157,12 +128,6 @@ def test_engine_parallel_and_warm_store(bench_dataset, bench_catalog):
             f"thread backend ({times['thread']:.2f}s) should beat serial "
             f"({times['serial']:.2f}s) with {workers} workers"
         )
-        # Zero-copy sharing must at minimum erase the historical 4x
-        # process-backend penalty (0.23x serial before the shared store).
-        assert times["process"] < times["serial"] * 1.5, (
-            f"process backend ({times['process']:.2f}s) should be within "
-            f"1.5x of serial ({times['serial']:.2f}s) with {workers} workers"
-        )
 
     def _rate(backend):
         s = backend_stats[backend]
@@ -178,12 +143,6 @@ def test_engine_parallel_and_warm_store(bench_dataset, bench_catalog):
             f"{times['thread']:.3f}",
             f"{times['serial'] / times['thread']:.2f}x",
             _rate("thread"),
-        ],
-        [
-            "process (cold store)",
-            f"{times['process']:.3f}",
-            f"{times['serial'] / times['process']:.2f}x",
-            _rate("process"),
         ],
         [
             "serial (warm store)",
@@ -206,20 +165,15 @@ def test_engine_parallel_and_warm_store(bench_dataset, bench_catalog):
         "",
         f"uniform allocation, seed 0; full-coverage warm-up run took "
         f"{cold_elapsed:.3f}s (strategy 'full').",
-        f"pull-task pickle size: {bytes_before / 2**20:.2f} MiB without "
-        f"shared store -> {bytes_after / 2**20:.2f} MiB with shared "
-        f"store ({bytes_before / max(1, bytes_after):.1f}x smaller; the "
-        f"training pool ships as a segment ref that workers attach by "
-        f"name, only per-arm evaluator state is pickled).",
         f"EmbeddingStore (warm serial): hit_rate={stats.hit_rate:.3f} "
         f"({stats.hits} hits / {stats.misses} misses, "
         f"{stats.current_bytes / 2**20:.1f} MiB cached); "
         f"warm re-run transform calls: {zero_calls}.",
-        "Reports are bit-identical across serial/thread/process backends.",
+        "Reports are bit-identical across serial/thread backends.",
     ]
     if workers == 1:
         lines.append(
-            "NOTE: single CPU core available — thread/process parallelism "
+            "NOTE: single CPU core available — thread parallelism "
             "cannot beat serial here; rerun on a multi-core host for the "
             "wall-clock speedup."
         )

@@ -1,7 +1,7 @@
 """Two-tier EmbeddingStore benchmark: spill persistence + hot-cap scaling.
 
-Exercises the shared-memory/disk store architecture end to end on a real
-feasibility study and records four configurations:
+Exercises the in-memory/disk store architecture end to end on a real
+feasibility study and records three configurations:
 
 1. **cold populate** — serial study against an empty ``store_dir``;
    every chunk embedding is computed once and written through to the
@@ -15,19 +15,14 @@ feasibility study and records four configurations:
    pressure; a second pass over the capped store must still complete
    with zero transform calls (evicted blocks promote back from disk)
    and reproduce the uncapped report bit-for-bit.
-4. **warm shared, process backend** — the process execution backend
-   over a warm store: workers attach segments/spill by name and must
-   perform zero transform calls anywhere (parent *or* workers).
 
 Transform calls are counted through a file-logging wrapper rather than
-an in-memory counter: a mutable counter attribute would be lost at every
-pickle boundary (fork, process pool) *and* would perturb the store's
-content-derived transform token, while an append to a log file counts
-calls made in any process.
+an in-memory counter: a mutable counter attribute would be lost across
+the fork *and* would perturb the store's content-derived transform
+token, while an append to a log file counts calls made in any process.
 
-Speedup assertions are gated on ``default_max_workers() > 1`` like the
-other engine benchmarks; correctness assertions (zero calls,
-bit-identical reports) always run.
+The assertions are correctness invariants only (zero calls,
+bit-identical reports); wall-clock and samples/s are recorded.
 
 Marked ``slow``: deselect with ``-m "not slow"`` to keep tier-1 fast.
 """
@@ -66,9 +61,8 @@ class CallLoggingTransform(FeatureTransform):
     Picklable and content-stable: the wrapper's pickled state is
     ``(inner transform, log path)``, both fixed for the benchmark's
     lifetime, so the store derives the same content token for it in
-    every process — cold run, forked restart and pool workers all hit
-    the same spill files, and calls from any of them land in the same
-    log.
+    every process — the cold run and the forked restart hit the same
+    spill files, and calls from either land in the same log.
     """
 
     def __init__(self, inner: FeatureTransform, log_path: str):
@@ -113,11 +107,10 @@ def _samples(report) -> int:
     return sum(r.samples_used for r in report.per_transform)
 
 
-def _timed_run(catalog, dataset, store, backend="serial", strategy="uniform"):
+def _timed_run(catalog, dataset, store, strategy="uniform"):
     config = SnoopyConfig(
         strategy=strategy,
         seed=0,
-        execution_backend=backend,
         embedding_cache_bytes=None,
     )
     system = Snoopy(catalog, config, store=store)
@@ -223,27 +216,6 @@ def test_store_scaling(bench_dataset, logged_catalog, tmp_path):
         "hot cap must never change results, only placement"
     )
 
-    # 4. Process backend over the warm store: workers attach segments
-    # and spill files by name; nobody recomputes anything.
-    calls_before = _call_count(log_path)
-    with EmbeddingStore(store_dir=spill_dir) as store:
-        process_elapsed, process_report = _timed_run(
-            catalog, bench_dataset, store, backend="process"
-        )
-    process_calls = _call_count(log_path) - calls_before
-    assert process_calls == 0, (
-        f"process backend on warm store made {process_calls} transform "
-        f"calls (parent or workers)"
-    )
-    assert _fingerprint(process_report) == _fingerprint(cold_report)
-
-    if workers > 1:
-        assert process_elapsed < cold_elapsed * 1.5, (
-            f"warm process-backend run ({process_elapsed:.2f}s) should not "
-            f"trail the cold serial run ({cold_elapsed:.2f}s) with "
-            f"{workers} workers"
-        )
-
     rows = [
         [
             "cold populate (serial)",
@@ -262,12 +234,6 @@ def test_store_scaling(bench_dataset, logged_catalog, tmp_path):
             f"{capped_elapsed:.3f}",
             f"{_samples(capped_report) / capped_elapsed:,.0f}",
             str(capped_calls),
-        ],
-        [
-            "warm store (process)",
-            f"{process_elapsed:.3f}",
-            f"{_samples(process_report) / process_elapsed:,.0f}",
-            str(process_calls),
         ],
     ]
     table = render_table(
@@ -290,14 +256,8 @@ def test_store_scaling(bench_dataset, logged_catalog, tmp_path):
         f"{mid_stats.evictions} eviction(s), "
         f"{mid_stats.spill_current_bytes / 2**20:.1f} MiB spilled — "
         f"working set exceeds the hot budget, results bit-identical.",
-        "All four configurations produce bit-identical study reports; "
+        "All three configurations produce bit-identical study reports; "
         "warm configurations perform zero transform calls in any "
         "process.",
     ]
-    if workers == 1:
-        lines.append(
-            "NOTE: single CPU core available — process-backend wall-clock "
-            "reflects pool startup without parallel payoff; rerun on a "
-            "multi-core host for the speedup."
-        )
     write_result("store_scaling", "\n".join(lines))

@@ -10,8 +10,8 @@ Arms are the unit of work of the staged execution engine: the multi-pull
 plans (:meth:`TransformationArm.pull_to`,
 :meth:`TransformationArm.pull_with_tangent`,
 :meth:`TransformationArm.exhaust`) touch only the arm's own state, so a
-:class:`repro.core.engine.RoundScheduler` can run them on any backend —
-including across a pickle boundary — with bit-identical results.
+:class:`repro.core.engine.RoundScheduler` can run them serially or on
+threads with bit-identical results.
 """
 
 from __future__ import annotations
@@ -23,11 +23,7 @@ from repro.exceptions import BudgetError, DataValidationError
 from repro.knn.progressive import ProgressiveOneNN
 from repro.rng import SeedLike, ensure_rng
 from repro.transforms.base import FeatureTransform, fit_on
-from repro.transforms.store import (
-    EmbeddingStore,
-    SharedArrayRef,
-    embed_or_transform,
-)
+from repro.transforms.store import EmbeddingStore, embed_or_transform
 
 
 class TransformationArm:
@@ -193,40 +189,6 @@ class TransformationArm:
     def loss_curve(self) -> tuple[np.ndarray, np.ndarray]:
         """(cumulative sample counts, losses) for convergence plots."""
         return self.evaluator.curve_arrays()
-
-    def __getstate__(self) -> dict:
-        """Ship the training pool as a shared-memory ref when possible.
-
-        The pool dominates an arm's pickled size (tens of MB at study
-        scale) and is identical across the pool boundary, so with a
-        sharing-enabled store attached it is replaced by a
-        :class:`SharedArrayRef` — workers map the parent's segment
-        zero-copy instead of receiving a payload.  Without a sharing
-        store (serial/thread backends never pickle arms; plain stores
-        predate sharing) the full array is shipped as before.
-        """
-        state = dict(self.__dict__)
-        store = self.store
-        if store is not None and store.can_share_arrays:
-            ref = store.share_array(self._train_x)
-            if ref is not None:
-                state["_train_x"] = ref
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        pool = self._train_x
-        if isinstance(pool, SharedArrayRef):
-            resolved = (
-                None if self.store is None else self.store.resolve_array(pool)
-            )
-            if resolved is None:
-                raise DataValidationError(
-                    f"arm {self.transform.name!r}: shared training pool "
-                    f"{pool.key[1].hex() if isinstance(pool.key[1], bytes) else pool.key[1]} "
-                    "is gone (store closed or segment unlinked)"
-                )
-            self._train_x = resolved
 
     def _embed_chunk(self, start: int, stop: int) -> np.ndarray:
         if self.store is not None:

@@ -22,7 +22,7 @@ import sys
 from collections.abc import Sequence
 
 from repro.cleaning.costs import LABEL_REGIMES
-from repro.core.engine import backend_names
+from repro.core.engine import EXECUTION_BACKENDS
 from repro.core.snoopy import STRATEGIES, Snoopy, SnoopyConfig
 from repro.exceptions import DataValidationError
 from repro.knn.kernels import DEFAULT_COMPUTE_DTYPE, VALID_COMPUTE_DTYPES
@@ -119,13 +119,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _add_engine_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--execution-backend", choices=backend_names(), default="serial",
+        "--execution-backend", choices=EXECUTION_BACKENDS, default="serial",
         help="how independent arm pulls run within a round "
         "(default: serial; results are identical across backends)",
     )
     parser.add_argument(
         "--max-workers", type=int, default=None,
-        help="worker cap for parallel backends (default: available cores)",
+        help="thread cap for the thread backend (default: available cores)",
     )
     _add_cache_arg(parser)
 
@@ -136,11 +136,6 @@ def _add_store_args(parser: argparse.ArgumentParser) -> None:
         help="persistent spill directory for the embedding store; a "
         "warm directory serves repeat runs with zero transform calls "
         "(default: memory-only caching)",
-    )
-    parser.add_argument(
-        "--store-hot-mb", type=int, default=None,
-        help="in-memory (hot tier) budget in MiB; alias of "
-        "--embedding-cache-mb and takes precedence when both are given",
     )
     parser.add_argument(
         "--store-spill-mb", type=int, default=None,
@@ -230,17 +225,12 @@ def _cmd_study(args: argparse.Namespace) -> int:
     catalog = catalog_for(
         dataset, seed=args.seed, max_embeddings=args.max_embeddings
     )
-    hot_mb = (
-        args.store_hot_mb
-        if args.store_hot_mb is not None
-        else args.embedding_cache_mb
-    )
     config_kwargs = {
         "strategy": args.strategy,
         "seed": args.seed,
         "execution_backend": args.execution_backend,
         "max_workers": args.max_workers,
-        "embedding_cache_bytes": hot_mb * 2**20,
+        "embedding_cache_bytes": args.embedding_cache_mb * 2**20,
         "store_dir": args.store_dir,
         "store_spill_bytes": (
             None if args.store_spill_mb is None

@@ -23,16 +23,7 @@ from repro.core.drift import (
     PageHinkleyDetector,
     SlidingWindowBER,
 )
-from repro.core.engine import (
-    ExecutionBackend,
-    ProcessBackend,
-    RoundScheduler,
-    SerialBackend,
-    ThreadBackend,
-    backend_names,
-    make_backend,
-    spawn_arm_streams,
-)
+from repro.core.engine import RoundScheduler, spawn_arm_streams
 from repro.core.guidance import (
     ExtrapolationResult,
     LogLinearFit,
@@ -54,13 +45,9 @@ __all__ = [
     "ConvergenceCurve",
     "DriftAwareMonitor",
     "DriftEvent",
-    "ExecutionBackend",
     "PageHinkleyDetector",
-    "ProcessBackend",
     "RoundScheduler",
-    "SerialBackend",
     "SlidingWindowBER",
-    "ThreadBackend",
     "ExtrapolationResult",
     "FeasibilityReport",
     "FeasibilitySignal",
@@ -72,8 +59,6 @@ __all__ = [
     "SnoopyConfig",
     "TransformResult",
     "aggregate_min",
-    "backend_names",
-    "make_backend",
     "spawn_arm_streams",
     "condition_8_holds",
     "condition_9_holds",

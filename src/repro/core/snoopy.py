@@ -18,10 +18,10 @@ Given a dataset and a target accuracy, Snoopy:
 A run is a staged pipeline — **prepare → allocate → aggregate → guide**
 — over a shared :class:`RunContext`.  The allocate phase dispatches
 independent arm pulls through a :class:`repro.core.engine.RoundScheduler`
-(serial, thread or process backend; bit-identical results), and every
-embedding flows through a shared
-:class:`repro.transforms.store.EmbeddingStore`, so a second strategy run
-or a post-cleaning re-run never recomputes a transform output.
+(serial or threaded; bit-identical results), and every embedding flows
+through a shared :class:`repro.transforms.store.EmbeddingStore`, so a
+second strategy run or a post-cleaning re-run never recomputes a
+transform output.
 """
 
 from __future__ import annotations
@@ -36,9 +36,8 @@ from repro.bandit.successive_halving import SelectionResult, successive_halving
 from repro.bandit.uniform import uniform_allocation
 from repro.core.aggregation import aggregate_min
 from repro.core.engine import (
+    EXECUTION_BACKENDS,
     RoundScheduler,
-    backend_names,
-    make_backend,
     spawn_arm_streams,
 )
 from repro.core.guidance import ExtrapolationResult, extrapolate_samples_needed
@@ -98,11 +97,13 @@ class SnoopyConfig:
         Required when ``strategy == "perfect"``: evaluate only this arm
         (the oracle lower-bound strategy of Figure 12).
     execution_backend:
-        How independent arm pulls run within a round: "serial" (default),
-        "thread" or "process".  Results are bit-identical across
-        backends; only wall-clock changes.
+        How independent arm pulls run within a round: "serial" (default)
+        or "thread".  Results are bit-identical across the two; only
+        wall-clock changes.  "thread" pays off only with BLAS pinned to
+        one thread (``OPENBLAS_NUM_THREADS=1``); with multi-threaded
+        BLAS the two pools oversubscribe the cores.
     max_workers:
-        Worker cap for parallel backends; ``None`` uses the cores the
+        Thread cap for the "thread" backend; ``None`` uses the cores the
         process may run on.
     embedding_cache_bytes:
         Byte budget of the shared :class:`EmbeddingStore`'s hot
@@ -116,8 +117,7 @@ class SnoopyConfig:
         the hot budget stream through), and a later run — or another
         tenant — pointed at the same directory warm-starts with zero
         transform calls.  ``None`` (default) keeps the cache
-        memory-only (the ``process`` backend then uses an ephemeral
-        spill dir, removed when the store closes).
+        memory-only.
     store_spill_bytes:
         Byte budget of the spill tier (default 1 GiB); the
         least-recently-used block files are pruned beyond it.
@@ -157,10 +157,10 @@ class SnoopyConfig:
             raise DataValidationError(
                 "strategy 'perfect' requires perfect_arm_name"
             )
-        if self.execution_backend not in backend_names():
+        if self.execution_backend not in EXECUTION_BACKENDS:
             raise DataValidationError(
                 f"unknown execution backend {self.execution_backend!r}; "
-                f"expected one of {backend_names()}"
+                f"expected one of {EXECUTION_BACKENDS}"
             )
         if self.max_workers is not None and self.max_workers < 1:
             raise DataValidationError(
@@ -273,10 +273,10 @@ class Snoopy:
         self._state: _RunState | None = None
 
     def close(self) -> None:
-        """Release the owned store's shared segments/spill dir; idempotent.
+        """Drop the owned store's hot tier; idempotent.
 
         Externally supplied stores are left alone — their owner decides
-        when sharing resources are released.
+        when to drop them.
         """
         if self.store is not None and self._owns_store:
             self.store.close()
@@ -301,12 +301,8 @@ class Snoopy:
         try:
             self._allocate(ctx)
         finally:
-            # Exception-safe epilogue: shut down the worker pools and
-            # unpin the shared training-pool segments even when an
-            # allocation raises, so no /dev/shm bytes outlive the run.
+            # Shut the thread pool down even when an allocation raises.
             ctx.scheduler.close()
-            if self.store is not None:
-                self.store.release_shared()
         self._aggregate(ctx)
         report = self._guide(ctx)
         self._state = _RunState(
@@ -359,15 +355,10 @@ class Snoopy:
         ctx.metric = self._resolve_metric(dataset)
         rng = ensure_rng(config.seed)
         ctx.order = rng.permutation(dataset.num_train)
-        if config.execution_backend == "process" and self.store is not None:
-            # Workers must attach hot blocks by name and share a spill
-            # dir; enabling before arms are built lets even the test-set
-            # embeddings land in shared segments.
-            self.store.enable_sharing()
         ctx.arms = self._build_arms(dataset, ctx.order, ctx.metric)
-        backend = make_backend(config.execution_backend, config.max_workers)
-        backend.bind_store(self.store)
-        ctx.scheduler = RoundScheduler(backend)
+        ctx.scheduler = RoundScheduler(
+            config.execution_backend, config.max_workers
+        )
         return ctx
 
     def _resolve_metric(self, dataset) -> str:

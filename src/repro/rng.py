@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.exceptions import DataValidationError
+
 SeedLike = int | np.random.Generator | np.random.SeedSequence | None
 
 
@@ -18,10 +20,13 @@ def ensure_rng(seed: SeedLike = None) -> np.random.Generator:
     """Return a :class:`numpy.random.Generator` for any seed-like input.
 
     Passing an existing generator returns it unchanged, so callers can
-    thread one generator through a pipeline without re-seeding.
+    thread one generator through a pipeline without re-seeding.  A
+    negative integer seed raises :class:`DataValidationError`.
     """
     if isinstance(seed, np.random.Generator):
         return seed
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise DataValidationError(f"seed must be non-negative, got {seed}")
     return np.random.default_rng(seed)
 
 

@@ -6,10 +6,6 @@ copies via ``Dataset.with_noisy_labels`` / ``subsample`` instead).
 
 from __future__ import annotations
 
-import gc
-import glob
-import os
-
 import numpy as np
 import pytest
 
@@ -74,25 +70,3 @@ def catalog(dataset):
 def rng():
     """Fresh deterministic generator per test (order-independent)."""
     return np.random.default_rng(1234)
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _no_shared_memory_leaks():
-    """Fail the session if the suite leaks store segments or spill dirs.
-
-    Every ``repro-*`` entry in /dev/shm and every ``repro-store-*``
-    ephemeral spill dir in $TMPDIR must be released by the owning
-    store's close()/finalizer — a survivor here means a lifecycle bug
-    (segments would pile up run over run on a real host).
-    """
-    yield
-    gc.collect()  # run any pending store finalizers first
-    leaked_shm = (
-        [n for n in os.listdir("/dev/shm") if n.startswith("repro-")]
-        if os.path.isdir("/dev/shm")
-        else []
-    )
-    tmp_root = os.environ.get("TMPDIR", "/tmp").rstrip("/")
-    leaked_dirs = glob.glob(f"{tmp_root}/repro-store-*")
-    assert not leaked_shm, f"leaked /dev/shm segments: {leaked_shm}"
-    assert not leaked_dirs, f"leaked ephemeral spill dirs: {leaked_dirs}"

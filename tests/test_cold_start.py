@@ -4,7 +4,9 @@ Each case runs in a fresh interpreter with ``src`` on its path, so
 ``sys.modules`` starts clean and only what the snippet itself pulls in
 is counted.  scipy is imported at the call sites that need it:
 ``import repro`` loads none of it, a study loads ``scipy.special`` for
-its Wilson bands, and the feebee kNN estimators load none.
+its Wilson bands, and the feebee kNN estimators load none.  Execution
+is serial or threaded, so ``import repro`` loads no ``multiprocessing``
+either.
 """
 
 import json
@@ -17,12 +19,12 @@ import textwrap
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
-def _scipy_modules_after(snippet: str) -> list[str]:
-    script = textwrap.dedent(snippet) + textwrap.dedent("""
+def _modules_after(snippet: str, package: str = "scipy") -> list[str]:
+    script = textwrap.dedent(snippet) + textwrap.dedent(f"""
         import json, sys
         print(json.dumps(sorted(
             name for name in sys.modules
-            if name == "scipy" or name.startswith("scipy.")
+            if name == {package!r} or name.startswith({package + "."!r})
         )))
     """)
     inherited = os.environ.get("PYTHONPATH")
@@ -39,11 +41,15 @@ def _scipy_modules_after(snippet: str) -> list[str]:
 
 
 def test_import_loads_no_scipy():
-    assert _scipy_modules_after("import repro, repro.cli") == []
+    assert _modules_after("import repro, repro.cli") == []
+
+
+def test_import_loads_no_multiprocessing():
+    assert _modules_after("import repro, repro.cli", "multiprocessing") == []
 
 
 def test_study_loads_no_stats_optimize_or_sparse():
-    loaded = _scipy_modules_after("""
+    loaded = _modules_after("""
         from repro.core.snoopy import Snoopy, SnoopyConfig
         from repro.datasets import load
         from repro.transforms.catalog import catalog_for
@@ -58,7 +64,7 @@ def test_study_loads_no_stats_optimize_or_sparse():
 
 
 def test_feebee_knn_estimators_load_no_scipy():
-    loaded = _scipy_modules_after("""
+    loaded = _modules_after("""
         from repro.datasets import load
         from repro.estimators import get_estimator
         from repro.feebee.evaluation import evaluate_estimator_over_noise

@@ -1,23 +1,19 @@
-"""Execution-engine tests: backends, scheduler, and cross-backend parity.
+"""Execution-engine tests: the round scheduler and cross-backend parity.
 
-The headline guarantee of the staged execution engine is that the
-``serial``, ``thread`` and ``process`` backends produce *bit-identical*
-feasibility reports — same winner, same losses, same curves — across
-allocation strategies and seeds.  These tests pin that contract.
+The headline guarantee of the round scheduler is that the ``serial`` and
+``thread`` backends produce *bit-identical* feasibility reports — same
+winner, same losses, same curves — across allocation strategies and
+seeds.  These tests pin that contract.
 """
 
-import pickle
+import threading
 
 import numpy as np
 import pytest
 
 from repro.core.engine import (
-    ProcessBackend,
+    EXECUTION_BACKENDS,
     RoundScheduler,
-    SerialBackend,
-    ThreadBackend,
-    backend_names,
-    make_backend,
     spawn_arm_streams,
 )
 from repro.core.snoopy import Snoopy, SnoopyConfig
@@ -25,41 +21,64 @@ from repro.exceptions import DataValidationError
 from repro.transforms.store import EmbeddingStore
 
 
-def _square(x):
-    return x * x
+class _Arm:
+    """A stand-in arm recording the thread its method ran on."""
+
+    def __init__(self, value):
+        self.value = value
+        self.thread = None
+
+    def square(self, offset=0):
+        self.thread = threading.get_ident()
+        return self.value * self.value + offset
 
 
 class TestBackends:
-    def test_registry(self):
-        assert backend_names() == ("process", "serial", "thread")
+    def test_execution_backends(self):
+        assert EXECUTION_BACKENDS == ("serial", "thread")
 
     def test_unknown_backend_raises(self):
         with pytest.raises(DataValidationError):
-            make_backend("quantum")
+            RoundScheduler("quantum")
 
     def test_invalid_max_workers_raises(self):
         with pytest.raises(DataValidationError):
-            SerialBackend(max_workers=0)
+            RoundScheduler(max_workers=0)
 
-    @pytest.mark.parametrize("name", ["serial", "thread", "process"])
-    def test_map_preserves_order(self, name):
-        with make_backend(name, max_workers=2) as backend:
-            assert backend.map(_square, range(7)) == [
-                0, 1, 4, 9, 16, 25, 36
+    @pytest.mark.parametrize("backend", EXECUTION_BACKENDS)
+    def test_run_preserves_order(self, backend):
+        arms = [_Arm(value) for value in range(7)]
+        with RoundScheduler(backend, max_workers=2) as scheduler:
+            assert scheduler.run(arms, "square", offset=1) == [
+                1, 2, 5, 10, 17, 26, 37
             ]
 
-    @pytest.mark.parametrize("name", ["thread", "process"])
-    def test_single_item_skips_pool(self, name):
-        backend = make_backend(name, max_workers=2)
-        assert backend.map(_square, [3]) == [9]
-        assert backend._pool is None
-        backend.close()
+    def test_empty_round_returns_nothing(self):
+        assert RoundScheduler("thread").run([], "square") == []
+
+    def test_single_arm_skips_pool(self):
+        scheduler = RoundScheduler("thread", max_workers=2)
+        arm = _Arm(3)
+        assert scheduler.run([arm], "square") == [9]
+        assert scheduler._pool is None
+        assert arm.thread == threading.get_ident()
+
+    def test_serial_never_builds_a_pool(self):
+        scheduler = RoundScheduler("serial", max_workers=2)
+        arms = [_Arm(1), _Arm(2)]
+        scheduler.run(arms, "square")
+        assert scheduler._pool is None
+        assert {arm.thread for arm in arms} == {threading.get_ident()}
 
     def test_close_is_idempotent(self):
-        backend = ThreadBackend(max_workers=2)
-        backend.map(_square, [1, 2])
-        backend.close()
-        backend.close()
+        scheduler = RoundScheduler("thread", max_workers=2)
+        arms = [_Arm(1), _Arm(2)]
+        scheduler.run(arms, "square")
+        assert scheduler._pool is not None
+        assert threading.get_ident() not in {arm.thread for arm in arms}
+        scheduler.close()
+        scheduler.close()
+        assert scheduler._pool is None
 
 
 class TestSpawnArmStreams:
@@ -117,7 +136,7 @@ def _run(catalog, dataset, strategy, backend, seed=0):
 
 
 class TestBackendParity:
-    """serial vs thread vs process must be bit-identical."""
+    """serial vs thread must be bit-identical."""
 
     @pytest.mark.parametrize(
         "strategy",
@@ -128,13 +147,6 @@ class TestBackendParity:
         thr_report, thr_losses = _run(catalog, dataset, strategy, "thread")
         assert thr_report == ref_report
         assert thr_losses == ref_losses
-
-    @pytest.mark.parametrize("strategy", ["successive_halving_tangent", "uniform"])
-    def test_process_matches_serial(self, dataset, catalog, strategy):
-        ref_report, ref_losses = _run(catalog, dataset, strategy, "serial")
-        proc_report, proc_losses = _run(catalog, dataset, strategy, "process")
-        assert proc_report == ref_report
-        assert proc_losses == ref_losses
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_parity_across_seeds(self, dataset, catalog, seed):
@@ -168,96 +180,101 @@ def _count_transform_calls(catalog):
     return counter
 
 
+def _count_class_transform_calls(monkeypatch, catalog):
+    """Count transform() calls by patching the transforms' classes.
+
+    Patching the class leaves every instance's pickled state untouched,
+    so a fresh store derives the same content tokens and finds the
+    spill files an earlier run wrote.
+    """
+    counter = {"calls": 0}
+    for cls in {type(transform) for transform in catalog}:
+        original = cls.transform
+
+        def counting(self, x, _original=original):
+            counter["calls"] += 1
+            return _original(self, x)
+
+        monkeypatch.setattr(cls, "transform", counting)
+    return counter
+
+
+@pytest.mark.parametrize("backend", EXECUTION_BACKENDS)
 class TestWarmStore:
-    def test_second_strategy_run_embeds_nothing(self, dataset, catalog):
+    def test_second_strategy_run_embeds_nothing(
+        self, dataset, catalog, backend
+    ):
         """A warm store serves a second strategy with zero transform calls."""
         store = EmbeddingStore()
         first = Snoopy(
-            catalog, SnoopyConfig(strategy="full", seed=0), store=store
+            catalog,
+            SnoopyConfig(strategy="full", seed=0, execution_backend=backend),
+            store=store,
         )
         first.run(dataset, target_accuracy=0.7)
         counter = _count_transform_calls(catalog)
         second = Snoopy(
-            catalog, SnoopyConfig(strategy="uniform", seed=0), store=store
+            catalog,
+            SnoopyConfig(strategy="uniform", seed=0, execution_backend=backend),
+            store=store,
         )
         report = second.run(dataset, target_accuracy=0.7)
         assert counter["calls"] == 0
         assert report.best_transform in catalog.names
 
-    def test_rerun_same_system_embeds_nothing(self, dataset, catalog):
-        system = Snoopy(catalog, SnoopyConfig(seed=0))
+    def test_rerun_same_system_embeds_nothing(self, dataset, catalog, backend):
+        system = Snoopy(
+            catalog, SnoopyConfig(seed=0, execution_backend=backend)
+        )
         system.run(dataset, target_accuracy=0.7)
         counter = _count_transform_calls(catalog)
         system.run(dataset, target_accuracy=0.7)
         assert counter["calls"] == 0
 
-    def test_warm_report_matches_cold(self, dataset, catalog):
+    def test_warm_report_matches_cold(self, dataset, catalog, backend):
         cold = Snoopy(catalog, SnoopyConfig(seed=0)).run(dataset, 0.7)
-        system = Snoopy(catalog, SnoopyConfig(seed=0))
+        system = Snoopy(
+            catalog, SnoopyConfig(seed=0, execution_backend=backend)
+        )
         system.run(dataset, 0.7)
         warm = system.run(dataset, 0.7)
         assert _report_fingerprint(warm) == _report_fingerprint(cold)
 
-
-class TestSchedulerMerge:
-    def test_process_roundtrip_preserves_store_identity(self, dataset, catalog):
-        """Worker copies come back cold; the parent's store must survive."""
-        from repro.bandit.arms import build_arms
-
-        store = EmbeddingStore()
-        arms = build_arms(list(catalog)[:2], dataset, rng=0, store=store)
-        scheduler = RoundScheduler(ProcessBackend(max_workers=2))
-        try:
-            scheduler.pull_to(arms, 64, 32)
-        finally:
-            scheduler.close()
-        for arm in arms:
-            assert arm.store is store
-            assert arm.samples_used >= 64
-
-    def test_process_roundtrip_preserves_transform_and_pool_identity(
-        self, dataset, catalog
+    def test_capped_study_on_primed_spill_dir_embeds_nothing(
+        self, dataset, catalog, backend, tmp_path, monkeypatch
     ):
-        """Merges must not swap in unpickled clones of identity-keyed
-        objects: the store tokens blocks by transform object and caches
-        digests by pool array, so clones would orphan warm entries."""
-        from repro.bandit.arms import build_arms
-
-        store = EmbeddingStore()
-        arms = build_arms(list(catalog)[:2], dataset, rng=0, store=store)
-        transforms = [arm.transform for arm in arms]
-        pools = [(arm._train_x, arm._train_y) for arm in arms]
-        scheduler = RoundScheduler(ProcessBackend(max_workers=2))
-        try:
-            scheduler.pull_to(arms, 64, 32)
-        finally:
-            scheduler.close()
-        for arm, transform, (train_x, train_y) in zip(arms, transforms, pools):
-            assert arm.transform is transform
-            assert arm._train_x is train_x
-            assert arm._train_y is train_y
-        # A parent-side pull after the merge keys the shared store under
-        # the original tokens (no duplicate token per round).
-        for arm in arms:
-            arm.pull(32)
-        assert len(store._tokens) == 2
-
-    def test_arm_pickles_with_cold_store(self, dataset, catalog):
-        from repro.bandit.arms import build_arms
-
-        store = EmbeddingStore()
-        arms = build_arms(list(catalog)[:1], dataset, rng=0, store=store)
-        arms[0].pull(50)
-        clone = pickle.loads(pickle.dumps(arms[0]))
-        assert len(clone.store) == 0
-        assert clone.samples_used == arms[0].samples_used
-        assert clone.pull(25) == pytest.approx(arms[0].pull(25))
+        """Evicted blocks promote back from disk, also on pool threads."""
+        cold = Snoopy(catalog, SnoopyConfig(seed=0)).run(dataset, 0.7)
+        store_dir = str(tmp_path / "spill")
+        prime = SnoopyConfig(seed=0, strategy="full", store_dir=store_dir)
+        with Snoopy(catalog, prime) as system:
+            system.run(dataset, 0.7)
+            working_set = system.store.stats.current_bytes
+        counter = _count_class_transform_calls(monkeypatch, catalog)
+        capped = SnoopyConfig(
+            seed=0,
+            execution_backend=backend,
+            max_workers=2,
+            store_dir=store_dir,
+            embedding_cache_bytes=working_set // 16,
+        )
+        with Snoopy(catalog, capped) as system:
+            report = system.run(dataset, 0.7)
+            stats = system.store.stats
+            promoted = len(system.store._spill_promoted)
+        assert counter["calls"] == 0
+        assert stats.misses == 0
+        assert stats.evictions > 0
+        # More promotes than distinct blocks: evicted blocks came back.
+        assert stats.spill_hits > promoted
+        assert _report_fingerprint(report) == _report_fingerprint(cold)
 
 
 class TestConfigValidation:
-    def test_unknown_execution_backend_raises(self):
+    @pytest.mark.parametrize("backend", ["gpu", "process"])
+    def test_unknown_execution_backend_raises(self, backend):
         with pytest.raises(DataValidationError):
-            SnoopyConfig(execution_backend="gpu")
+            SnoopyConfig(execution_backend=backend)
 
     def test_invalid_max_workers_raises(self):
         with pytest.raises(DataValidationError):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.exceptions import DataValidationError
 from repro.rng import ensure_rng, spawn
 
 
@@ -22,6 +23,12 @@ class TestEnsureRng:
     def test_seed_sequence_accepted(self):
         seq = np.random.SeedSequence(42)
         assert isinstance(ensure_rng(seq), np.random.Generator)
+
+    def test_negative_seed_raises(self):
+        with pytest.raises(
+            DataValidationError, match="seed must be non-negative, got -1"
+        ):
+            ensure_rng(-1)
 
 
 class TestSpawn:

@@ -154,6 +154,14 @@ class TestCLI:
             (["clean-loop", "cifar10", "--target", "0.8", "--noise", "1.5",
               "--scale", "0.05"],
              "rho must be in [0, 1]"),
+            (["study", "cifar10", "--target", "0.9", "--seed", "-1"],
+             "seed must be non-negative, got -1"),
+            (["catalog", "cifar10", "--seed", "-1"],
+             "seed must be non-negative, got -1"),
+            (["feebee", "cifar10", "--seed", "-1"],
+             "seed must be non-negative, got -1"),
+            (["clean-loop", "cifar10", "--target", "0.9", "--seed", "-1"],
+             "seed must be non-negative, got -1"),
         ],
     )
     def test_library_misuse_is_a_clean_error(self, argv, message, capsys):
@@ -172,6 +180,15 @@ class TestCLI:
     def test_unknown_dataset_rejected(self):
         with pytest.raises(SystemExit):
             main(["study", "imagenet", "--target", "0.9"])
+
+    def test_process_backend_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "study", "cifar10", "--target", "0.9",
+                "--execution-backend", "process",
+            ])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'process'" in capsys.readouterr().err
 
     def test_clean_loop_requires_noise(self, capsys):
         assert main([
@@ -211,7 +228,7 @@ class TestCLI:
         main([
             "study", "cifar10", "--target", "0.9",
             "--scale", "0.005", "--max-embeddings", "3",
-            "--store-dir", store, "--store-hot-mb", "64",
+            "--store-dir", store, "--embedding-cache-mb", "64",
             "--store-spill-mb", "256",
         ])
         capsys.readouterr()
@@ -237,7 +254,8 @@ class TestCLI:
 
 
 class TestCompareBaselinesUpdate:
-    def test_update_runs_tracked_benchmarks(self, capsys):
+    @pytest.fixture()
+    def module(self, tmp_path, monkeypatch):
         import importlib.util
         import pathlib
 
@@ -248,16 +266,41 @@ class TestCompareBaselinesUpdate:
         )
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
+        monkeypatch.setattr(module, "FRESH_DIR", tmp_path / "fresh")
+        monkeypatch.setattr(module, "RESULTS_DIR", tmp_path / "results")
+        return module
+
+    def test_update_runs_tracked_benchmarks(self, module, capsys):
         calls = []
-        assert module.update_baselines(
-            runner=lambda cmd: calls.append(cmd) or 0
-        ) == 0
+
+        def runner(cmd):
+            calls.append(cmd)
+            module.FRESH_DIR.mkdir()
+            for filename, *_ in module.TRACKED:
+                (module.FRESH_DIR / filename).write_text(f"new {filename}\n")
+            return 0
+
+        assert module.update_baselines(runner=runner) == 0
         (command,) = calls
         assert "pytest" in command
         for filename, *_ in module.TRACKED:
             assert module.SOURCES[filename] in command
+            # The fresh table was copied over the checked-in baseline.
+            promoted = module.RESULTS_DIR / filename
+            assert promoted.read_text() == f"new {filename}\n"
         out = capsys.readouterr().out
-        assert "store_scaling.txt" in out
+        assert "updated benchmarks/results/store_scaling.txt" in out
+
+    def test_update_promotes_other_fresh_tables(self, module):
+        module.FRESH_DIR.mkdir()
+        (module.FRESH_DIR / "fig9_end_to_end_cheap.txt").write_text("fig9\n")
+        assert module.update_baselines(runner=lambda cmd: 0) == 0
+        promoted = module.RESULTS_DIR / "fig9_end_to_end_cheap.txt"
+        assert promoted.read_text() == "fig9\n"
+
+    def test_failed_run_promotes_nothing(self, module):
+        module.FRESH_DIR.mkdir()
+        (module.FRESH_DIR / "store_scaling.txt").write_text("partial\n")
         # A failing benchmark run propagates its exit code.
         assert module.update_baselines(runner=lambda cmd: 3) == 3
-
+        assert not (module.RESULTS_DIR / "store_scaling.txt").exists()

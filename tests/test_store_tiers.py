@@ -1,9 +1,6 @@
-"""Tests for the EmbeddingStore's shared-memory and disk spill tiers."""
+"""Tests for the EmbeddingStore's disk spill tier and lifecycle."""
 
-import gc
 import os
-import pickle
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -12,10 +9,8 @@ from repro.transforms.linear import IdentityTransform, PCATransform
 from repro.transforms.store import (
     _SPILL_SUFFIX,
     EmbeddingStore,
-    SharedArrayRef,
     _read_spill,
     _write_spill,
-    attach_handle,
     clear_spill_dir,
     scan_spill_dir,
 )
@@ -37,34 +32,6 @@ class CountingTransform(IdentityTransform):
     def transform(self, x):
         self.calls += 1
         return super().transform(x)
-
-
-class LoggingTransform(IdentityTransform):
-    """Identity transform logging transform() calls to a file.
-
-    Its pickled state never changes (the log lives outside the object),
-    so its content token — and therefore its cached blocks — stay stable
-    across pickling, processes, and runs.  The file also counts calls
-    made in *worker* processes, which an attribute counter cannot.
-    """
-
-    def __init__(self, dim, log_path, name="logging"):
-        super().__init__(dim)
-        self.name = name
-        self.log_path = str(log_path)
-
-    def transform(self, x):
-        with open(self.log_path, "a") as fh:
-            fh.write(f"{os.getpid()}:{len(x)}\n")
-        return super().transform(x)
-
-    @property
-    def calls_logged(self):
-        try:
-            with open(self.log_path) as fh:
-                return sum(1 for _ in fh)
-        except FileNotFoundError:
-            return 0
 
 
 @pytest.fixture()
@@ -256,177 +223,16 @@ class TestScanAndClear:
         assert _spill_files(tmp_path) == []
 
 
-class TestSharedMemoryTier:
-    def test_enable_sharing_migrates_hot_blocks(self, data, transform):
-        with EmbeddingStore(block_rows=64) as store:
-            store.embed(transform, data)
-            store.enable_sharing()
-            assert store.is_shared
-            assert store.stats.shared_segments >= 5
-            transform.calls = 0
-            out = store.embed(transform, data)
-            assert transform.calls == 0
-            np.testing.assert_array_equal(out, data)
-
-    def test_handle_attaches_blocks_by_name(self, data, tmp_path):
-        transform = LoggingTransform(6, tmp_path / "calls.log").fit(data)
-        with EmbeddingStore(block_rows=64, shared=True) as store:
-            store.embed(transform, data)
-            warm_calls = transform.calls_logged
-            handle = pickle.loads(pickle.dumps(store))
-            assert handle.is_handle
-            # Same transform content -> same token -> same segments.
-            clone = pickle.loads(pickle.dumps(transform))
-            out = handle.embed(clone, data)
-            np.testing.assert_array_equal(out, data)
-            assert transform.calls_logged == warm_calls
-            assert handle.stats.misses == 0
-
-    def test_handle_unpickles_once_per_process(self, data, transform):
-        with EmbeddingStore(block_rows=64, shared=True) as store:
-            h1 = pickle.loads(pickle.dumps(store))
-            h2 = pickle.loads(pickle.dumps(store))
-            assert h1 is h2
-
-    def test_close_unlinks_all_segments(self, data, transform):
-        store = EmbeddingStore(block_rows=64, shared=True)
+class TestLifecycle:
+    def test_close_drops_hot_tier_keeps_spill(self, tmp_path, data, transform):
+        store = EmbeddingStore(block_rows=64, store_dir=tmp_path)
         store.embed(transform, data)
-        names = [f"/dev/shm/{e.name}" for e in store._blocks.values()]
-        assert names and all(os.path.exists(n) for n in names)
         store.close()
-        assert not any(os.path.exists(n) for n in names)
-
-    def test_garbage_collection_unlinks_segments(self, data, transform):
-        store = EmbeddingStore(block_rows=64, shared=True)
-        store.embed(transform, data)
-        session = store._session
-        del store
-        gc.collect()
-        leaked = [n for n in os.listdir("/dev/shm") if session in n]
-        assert leaked == []
-
-    def test_close_removes_ephemeral_spill_dir(self):
-        store = EmbeddingStore(shared=True)
-        directory = store.store_dir
-        assert directory is not None and os.path.isdir(directory)
-        store.close()
-        assert not os.path.exists(directory)
+        assert len(store) == 0
+        assert store.stats.current_bytes == 0
+        assert len(_spill_files(tmp_path)) == 5
 
     def test_close_is_idempotent(self):
-        store = EmbeddingStore(shared=True)
+        store = EmbeddingStore()
         store.close()
         store.close()
-
-    def test_exception_inside_with_still_cleans_up(self, data, transform):
-        with pytest.raises(RuntimeError):
-            with EmbeddingStore(block_rows=64, shared=True) as store:
-                store.embed(transform, data)
-                session = store._session
-                raise RuntimeError("boom")
-        assert not [n for n in os.listdir("/dev/shm") if session in n]
-
-
-class TestSharedArrays:
-    def test_round_trip_through_ref(self, rng):
-        pool = rng.normal(size=(128, 16))
-        with EmbeddingStore(shared=True) as store:
-            ref = store.share_array(pool)
-            assert isinstance(ref, SharedArrayRef)
-            assert ref.nbytes == pool.nbytes
-            handle = pickle.loads(pickle.dumps(store))
-            resolved = handle.resolve_array(pickle.loads(pickle.dumps(ref)))
-            np.testing.assert_array_equal(resolved, pool)
-
-    def test_sharing_same_array_twice_reuses_segment(self, rng):
-        pool = rng.normal(size=(64, 8))
-        with EmbeddingStore(shared=True) as store:
-            first = store.share_array(pool)
-            second = store.share_array(pool)
-            assert first == second
-            assert store.stats.pinned_bytes == pool.nbytes
-
-    def test_unshared_store_returns_none(self, rng):
-        with EmbeddingStore() as store:
-            assert store.share_array(rng.normal(size=(4, 4))) is None
-            assert not store.can_share_arrays
-
-    def test_release_shared_unpins(self, rng):
-        with EmbeddingStore(shared=True) as store:
-            ref = store.share_array(rng.normal(size=(64, 8)))
-            assert store.stats.pinned_bytes > 0
-            store.release_shared()
-            assert store.stats.pinned_bytes == 0
-            assert store.resolve_array(ref) is None
-
-
-def _worker_embed(payload):
-    """Embed a slice through an attached store handle (separate process)."""
-    store, transform, data, start, stop = payload
-    out = store.embed_rows(transform, data, start, stop)
-    return os.getpid(), out.copy(), store.stats.misses
-
-
-@pytest.mark.slow
-class TestCrossProcessCoherency:
-    def test_two_workers_agree_on_embeddings(self, data, tmp_path):
-        transform = LoggingTransform(6, tmp_path / "calls.log").fit(data)
-        with EmbeddingStore(block_rows=64, shared=True) as store:
-            store.embed(transform, data)  # warm the shared hot tier
-            warm_calls = transform.calls_logged
-            with ProcessPoolExecutor(max_workers=2) as pool:
-                results = list(pool.map(
-                    _worker_embed,
-                    [
-                        (store, transform, data, 0, 150),
-                        (store, transform, data, 150, 300),
-                    ],
-                ))
-            (pid_a, out_a, miss_a), (pid_b, out_b, miss_b) = results
-            np.testing.assert_array_equal(out_a, data[:150])
-            np.testing.assert_array_equal(out_b, data[150:])
-            # Warm store: workers recomputed nothing, anywhere.
-            assert miss_a == 0 and miss_b == 0
-            assert transform.calls_logged == warm_calls
-
-    def test_worker_survives_parent_side_eviction(self, data, tmp_path):
-        transform = LoggingTransform(6, tmp_path / "calls.log").fit(data)
-        block_bytes = 64 * 6 * 8
-        with EmbeddingStore(
-            max_bytes=2 * block_bytes, block_rows=64, shared=True
-        ) as store:
-            store.embed(transform, data)  # evicts 3 of 5 blocks to spill
-            warm_calls = transform.calls_logged
-            with ProcessPoolExecutor(max_workers=2) as pool:
-                results = list(pool.map(
-                    _worker_embed,
-                    [
-                        (store, transform, data, 0, 150),
-                        (store, transform, data, 150, 300),
-                    ],
-                ))
-            (_pid_a, out_a, _), (_pid_b, out_b, _) = results
-            np.testing.assert_array_equal(out_a, data[:150])
-            np.testing.assert_array_equal(out_b, data[150:])
-            # Evicted blocks came from the shared spill dir, not from
-            # re-running the transform in a worker.
-            assert transform.calls_logged == warm_calls
-
-
-class TestHandleState:
-    def test_attach_handle_registry_pid_keyed(self):
-        with EmbeddingStore(shared=True) as store:
-            state = store.handle_state()
-            handle = attach_handle(state)
-            again = attach_handle(state)
-            assert handle is again
-            assert handle.is_handle
-            assert handle.store_dir == store.store_dir
-
-    def test_handle_state_carries_budgets(self):
-        with EmbeddingStore(
-            max_bytes=123456, block_rows=32, spill_bytes=654321, shared=True
-        ) as store:
-            state = store.handle_state()
-            assert state["max_bytes"] == 123456
-            assert state["block_rows"] == 32
-            assert state["spill_bytes"] == 654321

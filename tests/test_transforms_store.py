@@ -1,7 +1,6 @@
 """Unit tests for the shared EmbeddingStore."""
 
 import gc
-import pickle
 import threading
 
 import numpy as np
@@ -231,16 +230,6 @@ class TestOutputSafety:
         out = store.embed(transform, data)
         with pytest.raises(ValueError):
             out[0, 0] = 42.0
-
-    def test_pickle_ships_config_only(self, data, transform):
-        store = EmbeddingStore(max_bytes=12345678, block_rows=64)
-        store.embed(transform, data)
-        clone = pickle.loads(pickle.dumps(store))
-        assert clone.max_bytes == 12345678
-        assert clone.block_rows == 64
-        assert len(clone) == 0
-        # The original is untouched.
-        assert len(store) == 5
 
 
 class TestThreadSafety:
