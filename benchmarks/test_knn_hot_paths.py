@@ -157,7 +157,5 @@ def test_knn_hot_paths(benchmark):
     assert all(s >= 5.0 for s in loop_speedups.values())
     # The float32 kernels must deliver a real throughput gain on the IVF
     # path (asserted softly so a noisy CI runner cannot flake the
-    # suite).  The brute-force gain is only recorded in the table: with
-    # the fused kernels, brute search at k > 1 is bound by argpartition,
-    # which single precision does not speed up.
+    # suite).  The brute-force gain is only recorded in the table.
     assert all(gain >= 1.1 for gain in ivf_f32_gains.values())

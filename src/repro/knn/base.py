@@ -84,8 +84,7 @@ class KNNIndex(ABC):
 class ExactSearchMixin:
     """Shared blocked exact search for corpus-backed backends.
 
-    Hosts the one copy of the exclude-self contract and the fused
-    top-k/leave-one-out plumbing; expects ``self.metric``,
+    Hosts the fused top-k/leave-one-out plumbing; expects ``self.metric``,
     ``self.block_size``, ``self.dtype``, a ``self._kernel_cache`` slot
     (set to ``None`` whenever the corpus changes) and
     ``_require_fitted() -> (corpus, labels)``.
@@ -113,21 +112,14 @@ class ExactSearchMixin:
         With ``exclude_self=True`` the queries must be the fitted corpus
         itself (same rows, same order) and each point's zero-distance
         self match is removed (leave-one-out mode); any other query set
-        would silently mask arbitrary corpus columns, so a length
-        mismatch raises :class:`DataValidationError`.
+        would silently mask arbitrary corpus columns, so
+        :meth:`~repro.knn.kernels.DistanceKernel.topk` raises
+        :class:`DataValidationError` on a length mismatch.
         """
-        kernel = self._search_kernel()
         # No float64 pre-cast: the kernel casts straight to its compute
         # dtype, so float32 queries feed a float32 index with zero
         # widening copies.
-        queries = np.asarray(queries)
-        if exclude_self and len(queries) != kernel.num_bound:
-            raise DataValidationError(
-                f"exclude_self=True requires the queries to be the fitted "
-                f"corpus itself, but got {len(queries)} queries for a corpus "
-                f"of {kernel.num_bound}"
-            )
-        return kernel.topk(
+        return self._search_kernel().topk(
             queries, k, block_size=self.block_size, exclude_self=exclude_self
         )
 

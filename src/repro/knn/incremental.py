@@ -43,7 +43,9 @@ class IncrementalKNNIndex(ExactSearchMixin, KNNIndex):
     metric:
         "euclidean" or "cosine".
     block_size:
-        Query rows per distance block; bounds search memory.
+        Upper bound on the query rows per distance block; a block holds
+        fewer when its product against the corpus would pass the
+        kernel's byte budget.
     dtype:
         Compute dtype for the distance arithmetic ("float32" or
         "float64"); ``None`` (default) keeps the strict ``float64``

@@ -17,7 +17,7 @@ Search is fully vectorized: queries are grouped by probe depth, then
 batched by probe-cluster group — every partition is scanned with one
 dense BLAS distance block against its contiguous (list-major) vector
 slice, scattered into a padded per-query candidate matrix, and top-k
-selection uses ``argpartition``.  There is no per-query Python loop
+selection takes ``k`` argmin passes.  There is no per-query Python loop
 anywhere on the hot path (see ``benchmarks/test_knn_hot_paths.py`` for
 the measured speedup over the historical per-query implementation).
 """
@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.exceptions import DataValidationError
 from repro.knn.base import KNNIndex, register_backend
-from repro.knn.kernels import iter_blocks, make_kernel, resolve_dtype
+from repro.knn.kernels import _select, iter_blocks, make_kernel, resolve_dtype
 from repro.knn.kmeans import KMeans
 from repro.rng import SeedLike
 
@@ -37,37 +37,21 @@ from repro.rng import SeedLike
 #: (~64 MiB at float64, ~32 MiB at float32).
 _GATHER_BUDGET = 8_000_000
 
-#: For k at or below this, per-cluster top-k uses iterated argmin sweeps
-#: (branch-free SIMD reductions) instead of argpartition.
-_ITER_ARGMIN_MAX = 8
-
 
 def _keep_smallest_sq(
     sq: np.ndarray, keep: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-row ``keep`` smallest of a squared-distance block.
 
-    The per-list selection ladder: full pass-through when the list is
-    no larger than ``keep``, iterated argmin sweeps (branch-free SIMD
-    reductions, no index-array allocation) for tiny keeps, one
-    argpartition otherwise.  May fill ``sq`` with inf in place.
+    Every column when the list is no larger than ``keep``; otherwise
+    ``keep`` argmin passes (the kernels' selection), which fill ``sq``
+    with inf in place.
     """
     size = sq.shape[1]
     if keep >= size:
         return np.broadcast_to(np.arange(size), sq.shape), sq
-    if keep <= _ITER_ARGMIN_MAX:
-        rr = np.arange(len(sq))
-        local = np.empty((len(sq), keep), dtype=np.int64)
-        local_sq = np.empty((len(sq), keep), dtype=sq.dtype)
-        for j in range(keep):
-            best = np.argmin(sq, axis=1)
-            local[:, j] = best
-            local_sq[:, j] = sq[rr, best]
-            if j + 1 < keep:
-                sq[rr, best] = np.inf
-        return local, local_sq
-    local = np.argpartition(sq, kth=keep - 1, axis=1)[:, :keep]
-    return local, np.take_along_axis(sq, local, axis=1)
+    local_sq = np.empty((len(sq), keep), dtype=sq.dtype)
+    return _select(sq, keep, largest=False, values=local_sq), local_sq
 
 
 def _select_pool_topk(
@@ -102,9 +86,9 @@ class IVFFlatIndex(KNNIndex):
     seed:
         Seeds the quantizer training.
     block_size:
-        Number of query rows per distance block on the full-scan path
-        (``nprobe == nlist``); bounds memory exactly like the
-        brute-force index.
+        Upper bound on the query rows per distance block on the
+        full-scan path (``nprobe == nlist``), which blocks exactly like
+        the brute-force index.
     dtype:
         Compute dtype for all distance arithmetic ("float32" or
         "float64"); ``None`` (default) keeps the strict ``float64``

@@ -31,13 +31,17 @@ throughput from:
   1. The GEMM runs with the changing side pre-scaled by ``-2`` for
      euclidean (a power of two, so the product is exactly ``-2ab``) or
      on pre-normalized rows for cosine.  The block product is the only
-     block-sized buffer.
+     block-sized buffer; :meth:`~DistanceKernel.topk`, whose blocks
+     span the whole bound corpus, caps it at :data:`_BLOCK_BYTES` by
+     taking fewer query rows per block.
   2. One pass over row chunks of the product, each small enough to stay
      in cache (:data:`_CHUNK_BYTES`), forms the selection key and picks
      the winners: euclidean adds the column-side squared norms and
      takes the smallest ``|b|^2 - 2ab``; cosine takes the largest
      similarity as it is.  The row-side constant ``|a|^2`` and the clamp
-     at zero cannot reorder a row, so they are left out.
+     at zero cannot reorder a row, so they are left out.  The ``k``
+     winners come from ``k`` ``argmin``/``argmax`` passes over the key,
+     each pass masking the previous pass's winner.
   3. Only the winners' comparables are computed, with the full formula
      (``|a|^2 + |b|^2 - 2ab`` clamped at zero, or ``1 - clip(cos)``)
      from the kept GEMM entries, so returned values are bit-identical to
@@ -47,8 +51,9 @@ throughput from:
   Winners can differ from the unfused expansion only between candidates
   whose comparables lie within one rounding step of each other.  Exact
   ties go to the earliest row: :meth:`~DistanceKernel.nearest_among`
-  and :meth:`~DistanceKernel.topk` at ``k = 1`` select with
-  ``argmin``/``argmax``, which return the first extremum.
+  and :meth:`~DistanceKernel.topk` select with ``argmin``/``argmax``,
+  which return the first extremum, so a tie at the ``k``-th place goes
+  to the earliest column too.
 
 Internally the kernels compare *comparable* values — squared distances
 for euclidean, the dissimilarity itself for cosine — which order
@@ -81,6 +86,11 @@ _EPS = 1e-12
 #: written to: small enough that a chunk stays in cache between forming
 #: its key, selecting on it and gathering the winners.
 _CHUNK_BYTES = 512 * 1024
+
+#: Byte budget of one block of :meth:`DistanceKernel.topk`'s GEMM
+#: product.  Its blocks are query rows against the whole bound corpus,
+#: so a large corpus gets fewer rows per block, not a larger buffer.
+_BLOCK_BYTES = 16 * 1024 * 1024
 
 
 def resolve_dtype(dtype) -> np.dtype:
@@ -280,14 +290,14 @@ class DistanceKernel(ABC):
     ) -> tuple[np.ndarray, np.ndarray]:
         """The ``k`` best columns of each row of a block's GEMM product.
 
-        Returns ``(idx, comparable)``, each ``(rows, k)`` and unordered
+        Returns ``(idx, comparable)``, each ``(rows, k)`` and not sorted
         along a row for ``k > 1``.  Rows are keyed and selected in
         chunks of at most :data:`_CHUNK_BYTES`, so a block that fits one
-        chunk takes a single pass.  The scratch the key is written to is
-        allocated here, per call, never kept: kernels are bound once per
-        arm and called concurrently by the thread backend.  With
-        ``self_offset``, row ``i`` never selects column
-        ``i + self_offset`` (leave-one-out).
+        chunk takes a single pass; :func:`_select` sets the tie rule.
+        The scratch the key is written to is allocated here, per call,
+        never kept: kernels are bound once per arm and called
+        concurrently by the thread backend.  With ``self_offset``, row
+        ``i`` never selects column ``i + self_offset`` (leave-one-out).
         """
         rows, cols = product.shape
         chunk = max(1, _CHUNK_BYTES // (cols * product.itemsize))
@@ -296,12 +306,17 @@ class DistanceKernel(ABC):
         idx = np.empty((rows, k), dtype=np.int64)
         for start in range(0, rows, chunk):
             part = slice(start, min(start + chunk, rows))
+            out = scratch[: part.stop - start]
             key = self._select_key(
-                product[part],
-                _slice_state(row_state, part),
-                col_state,
-                scratch[: part.stop - start],
+                product[part], _slice_state(row_state, part), col_state, out
             )
+            if k > 1 and key is not out:
+                # Pass selection masks winners in the key, and a key
+                # that is the product itself (cosine) would lose the
+                # entries gathered below.  One argmin/argmax writes
+                # nothing, so k = 1 skips the copy.
+                np.copyto(out, key)
+                key = out
             if self_offset is not None:
                 own = np.arange(part.stop - start)
                 key[own, own + (start + self_offset)] = worst
@@ -395,16 +410,16 @@ class DistanceKernel(ABC):
     ) -> tuple[np.ndarray, np.ndarray]:
         """Exact top-k of the bound corpus per query row: ``(dist, idx)``.
 
-        Blocked over query rows; within a block the winners are
-        selected with ``argmin``/``argmax`` at ``k = 1`` and
-        ``argpartition`` otherwise, then sorted by comparable value, and
-        only the winners are converted to true distances.  At ``k = 1``
-        exact ties go to the earliest corpus row, the rule
-        :meth:`nearest_among` follows; for ``k > 1`` the order among
-        exact ties is unspecified.  With ``exclude_self=True`` query
-        ``i`` is assumed to BE bound row ``i`` and its self-match is
-        masked out (leave-one-out mode); the caller is expected to
-        validate ``len(queries) == num_bound``.
+        Blocked over query rows: ``block_size`` is an upper bound, and a
+        block holds fewer rows when its GEMM product against the whole
+        corpus would pass :data:`_BLOCK_BYTES`.  Within a block the
+        winners are selected by :func:`_select`, then sorted by
+        comparable value, and only the winners are converted to true
+        distances.  Exact ties go to the earliest corpus row, the rule
+        :meth:`nearest_among` follows.  With ``exclude_self=True`` query
+        ``i`` must BE bound row ``i`` and its self-match is masked out
+        (leave-one-out mode); a query set of another length raises
+        :class:`DataValidationError`.
         """
         queries = self._cast_other(queries)
         effective_k = k + 1 if exclude_self else k
@@ -416,11 +431,21 @@ class DistanceKernel(ABC):
                 f"{self.num_bound}"
             )
         n = len(queries)
+        if exclude_self and n != self.num_bound:
+            raise DataValidationError(
+                f"exclude_self=True requires the queries to be the bound "
+                f"corpus itself, but got {n} queries for a corpus of "
+                f"{self.num_bound}"
+            )
+        rows = min(
+            block_size,
+            max(1, _BLOCK_BYTES // (self.num_bound * self._dtype.itemsize)),
+        )
         state = self._state(queries)
         bound_rows, query_rows = self._operands(queries, state)
         all_dist = np.empty((n, k))
         all_idx = np.empty((n, k), dtype=np.int64)
-        for block in iter_blocks(n, block_size):
+        for block in iter_blocks(n, rows):
             part, part_cmp = self._winners(
                 query_rows[block] @ bound_rows.T,
                 _slice_state(state, block),
@@ -569,17 +594,29 @@ def make_kernel(
     return cls(bound, dtype=dtype)
 
 
-def _select(key: np.ndarray, k: int, largest: bool) -> np.ndarray:
-    """Columns of the ``k`` best entries of each row of ``key``.
+def _select(
+    key: np.ndarray, k: int, largest: bool, values: np.ndarray | None = None
+) -> np.ndarray:
+    """Columns of the ``k`` best entries of each row of ``key``, best first.
 
-    At ``k = 1`` the first extremum wins, so exact ties go to the
-    earliest column; for ``k > 1`` the order within a row is arbitrary.
+    Takes ``k`` argmin/argmax passes; each pass after the first sets the
+    previous pass's winners to the worst value, so ``key`` is
+    overwritten when ``k > 1``.  Every pass keeps the first extremum, so
+    exact ties go to the earliest column, at the ``k``-th place too.
+    ``values``, when given, receives the winners' key entries, gathered
+    before they are masked.
     """
-    if k == 1:
-        return (np.argmax if largest else np.argmin)(key, axis=1)[:, None]
-    if largest:
-        return np.argpartition(key, -k, axis=1)[:, -k:]
-    return np.argpartition(key, k - 1, axis=1)[:, :k]
+    best = np.argmax if largest else np.argmin
+    worst = -np.inf if largest else np.inf
+    rows = np.arange(len(key))
+    idx = np.empty((len(key), k), dtype=np.int64)
+    for j in range(k):
+        if j:
+            key[rows, idx[:, j - 1]] = worst
+        idx[:, j] = best(key, axis=1)
+        if values is not None:
+            values[:, j] = key[rows, idx[:, j]]
+    return idx
 
 
 def _slice_state(state, block: slice):

@@ -112,15 +112,16 @@ def blocked_topk(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact top-k search, blocked over query rows; returns ``(dist, idx)``.
 
-    The query-by-corpus comparable-distance matrix is materialized
-    ``block_size`` query rows at a time, top-k selected with
-    ``argpartition`` and the k winners sorted and converted to true
-    distances.  With ``exclude_self=True`` the queries must BE the
-    corpus (same rows, same order): query ``i``'s match against corpus
-    column ``i`` is masked out (leave-one-out mode).  Passing a
-    different query set in that mode would mask arbitrary columns, so
-    the caller is expected to validate ``len(queries) == len(corpus)``.
-    ``dtype`` selects the compute precision (``None`` = ``float64``).
+    The query-by-corpus product is formed at most ``block_size`` query
+    rows at a time (fewer when the block would pass the kernel's byte
+    budget), the top k selected per row (see
+    :meth:`~repro.knn.kernels.DistanceKernel.topk`) and the k winners
+    sorted and converted to true distances.  With ``exclude_self=True``
+    the queries must BE the corpus (same rows, same order): query
+    ``i``'s match against corpus column ``i`` is masked out
+    (leave-one-out mode), and a query set of another length raises
+    :class:`DataValidationError`.  ``dtype`` selects the compute
+    precision (``None`` = ``float64``).
     """
     return make_kernel(metric, corpus, dtype=dtype).topk(
         queries, k, block_size=block_size, exclude_self=exclude_self

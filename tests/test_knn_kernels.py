@@ -15,12 +15,15 @@ Four layers:
   every backend and the progressive evaluator.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import DataValidationError
+from repro.knn import kernels
 from repro.knn.base import make_index
 from repro.knn.kernels import (
     DEFAULT_COMPUTE_DTYPE,
@@ -145,6 +148,33 @@ class TestFusedPrimitives:
             )
 
 
+class TestBlockBudget:
+    """``topk`` caps each block's GEMM product at ``_BLOCK_BYTES``."""
+
+    def test_peak_memory_stays_under_the_budget(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_BLOCK_BYTES", 4 << 20)
+        x = np.random.default_rng(0).normal(size=(3000, 8))
+        kernel = make_kernel("euclidean", x, dtype=None)
+        tracemalloc.start()
+        try:
+            kernel.topk(x, 5, exclude_self=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # One 2,048-row block would be 49 MB.  Besides the capped
+        # product, the call holds the scaled queries, the outputs and
+        # one chunk of key scratch: about 1 MB here.
+        assert peak < kernels._BLOCK_BYTES + (2 << 20)
+
+    @pytest.mark.parametrize("block_size", [0, -1])
+    def test_nonpositive_block_size_raises(self, rng, block_size):
+        x = rng.normal(size=(20, 3))
+        with pytest.raises(DataValidationError, match="block_size"):
+            make_kernel("euclidean", x).topk(x, 2, block_size=block_size)
+        with pytest.raises(DataValidationError, match="block_size"):
+            blocked_topk(x, x, 2, block_size=block_size, exclude_self=True)
+
+
 def _unfused_nearest_among(kernel, other, block_size=2048):
     """``DistanceKernel.nearest_among`` before fusion, verbatim."""
     other = kernel._cast_other(other)
@@ -233,7 +263,7 @@ class TestFusedMatchesUnfused:
         seed=st.integers(min_value=0, max_value=2**32 - 1),
         metric=st.sampled_from(["euclidean", "cosine"]),
         dtype=st.sampled_from(["float32", "float64"]),
-        k=st.sampled_from([1, 5]),
+        k=st.sampled_from([1, 5, 10, 11]),
         exclude_self=st.booleans(),
         block=st.integers(min_value=3, max_value=16),
         blocks=st.integers(min_value=2, max_value=4),
@@ -244,7 +274,9 @@ class TestFusedMatchesUnfused:
     def test_indices_and_comparables_equal(
         self, seed, metric, dtype, k, exclude_self, block, blocks, rest, dim
     ):
-        # 1 <= rows % block < block: the last block is a short one.
+        # Enough blocks that k + 1 <= rows, and 1 <= rows % block <
+        # block: the last block is a short one.
+        blocks = max(blocks, -(-(k + 1) // block))
         rows = block * blocks + 1 + rest % (block - 1)
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(rows, dim))
@@ -258,6 +290,27 @@ class TestFusedMatchesUnfused:
             block_size=block,
             exclude_self=exclude_self,
         )
+
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("exclude_self", [False, True])
+    def test_byte_capped_blocks(
+        self, rng, monkeypatch, metric, dtype, exclude_self
+    ):
+        # A 7-row float64 block (14 rows in float32) of a 50-row corpus
+        # fills the budget, so 50 queries span several capped blocks.
+        monkeypatch.setattr(kernels, "_BLOCK_BYTES", 7 * 50 * 8)
+        x = rng.normal(size=(50, 6))
+        kernel = make_kernel(metric, x, dtype=dtype)
+        rows = kernels._BLOCK_BYTES // (50 * kernel.compute_dtype.itemsize)
+        queries = x if exclude_self else rng.normal(size=(50, 6))
+        for k in (1, 5, 11):
+            dist, idx = kernel.topk(queries, k, exclude_self=exclude_self)
+            ref_dist, ref_idx = _unfused_topk(
+                kernel, queries, k, block_size=rows, exclude_self=exclude_self
+            )
+            np.testing.assert_array_equal(idx, ref_idx)
+            np.testing.assert_array_equal(dist, ref_dist)
 
     @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
@@ -276,15 +329,20 @@ class TestFusedMatchesUnfused:
             np.testing.assert_array_equal(top[:, 0], 3)
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
-    def test_topk_k1_ties_go_to_earliest_index(self, rng, dtype):
+    @pytest.mark.parametrize("k", [1, 5, 10, 16])
+    def test_topk_ties_go_to_earliest_index(self, rng, dtype, k):
         # Small-integer rows: every distance is exact, so ties are real
-        # and plentiful; the first minimal column must win each row.
+        # and plentiful; the earliest of the columns tied at the k-th
+        # place must win each row.
         corpus = rng.integers(-2, 3, size=(300, 3)).astype(float)
         queries = rng.integers(-2, 3, size=(200, 3)).astype(float)
         kernel = make_kernel("euclidean", corpus, dtype=dtype)
-        _, idx = kernel.topk(queries, k=1, block_size=64)
+        _, idx = kernel.topk(queries, k=k, block_size=64)
         dense = kernel.comparable_from(queries)
-        np.testing.assert_array_equal(idx[:, 0], np.argmin(dense, axis=1))
+        expected = np.argsort(dense, axis=1, kind="stable")[:, :k]
+        np.testing.assert_array_equal(
+            np.sort(idx, axis=1), np.sort(expected, axis=1)
+        )
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_repeated_test_row_is_at_distance_zero(self, rng, dtype):

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from repro.exceptions import DataValidationError
 from repro.knn.brute_force import BruteForceKNN
 from repro.knn.ivf import IVFFlatIndex
-from repro.knn.metrics import euclidean_distances
+from repro.knn.kernels import make_kernel
+from repro.knn.metrics import blocked_topk, euclidean_distances
 from repro.knn.progressive import ProgressiveOneNN
 
 
@@ -59,6 +60,19 @@ class TestExcludeSelfMasking:
         dist, idx = index.kneighbors(x, k=1, exclude_self=True)
         assert np.all(idx[:, 0] != np.arange(30))
         assert np.all(dist > 0)
+
+    @pytest.mark.parametrize("rows", [slice(5, 8), [*range(10), 0, 1]])
+    def test_foreign_queries_raise_below_the_index(self, rng, rows):
+        # Three corpus rows would each find themselves at distance 0;
+        # twelve would mask columns past the corpus.
+        corpus = rng.normal(size=(10, 3))
+        queries = corpus[rows]
+        with pytest.raises(DataValidationError, match="exclude_self"):
+            blocked_topk(queries, corpus, k=2, exclude_self=True)
+        with pytest.raises(DataValidationError, match="exclude_self"):
+            make_kernel("euclidean", corpus).topk(
+                queries, k=2, exclude_self=True
+            )
 
 
 class TestIVFEffectiveParams:
