@@ -46,7 +46,7 @@ FRESH_DIR = pathlib.Path(__file__).parent / "fresh"
 
 #: (file, key columns, throughput columns — higher is better).
 TRACKED = (
-    ("knn_hot_paths.txt", ("k", "dtype"), ("brute q/s", "ivf q/s")),
+    ("knn_hot_paths.txt", ("k", "dtype"), ("brute q/s",)),
     ("progressive_throughput.txt", ("pull", "path"), ("samples/s",)),
     ("store_scaling.txt", ("configuration",), ("samples/s",)),
 )

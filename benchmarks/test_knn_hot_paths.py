@@ -1,16 +1,12 @@
-"""Micro-benchmark: kNN hot paths — vectorized IVF vs the seed loop,
-float32 vs float64.
+"""Micro-benchmark: exact kNN search, float32 vs float64.
 
-Tracks, at the n=10k scale the ISSUE targets:
+Tracks, at n=10k, the brute-force ``kneighbors`` throughput of the
+dtype-aware distance kernels in both compute dtypes, and the
+float32-over-float64 gain (single-precision BLAS + halved memory
+traffic) in the ``f32/f64`` column.  ``recall@k`` is the share of the
+float64 neighbors that the float32 search returns too.
 
-- the speedup of the batched, cluster-major ``IVFFlatIndex`` search
-  over the historical per-query Python loop (reproduced inline as the
-  reference), asserted at float64 so it measures vectorization alone;
-- the float32-over-float64 throughput gain of the dtype-aware distance
-  kernels on both the brute-force and IVF paths (single-precision BLAS
-  + halved memory traffic), recorded in the ``dtype`` column.
-
-Results land in ``benchmarks/results/knn_hot_paths.txt``.
+Results land in ``benchmarks/fresh/knn_hot_paths.txt``.
 
 Marked ``slow``: deselect with ``-m "not slow"`` to keep tier-1 fast.
 """
@@ -22,8 +18,6 @@ import pytest
 from conftest import write_result
 
 from repro.knn.brute_force import BruteForceKNN
-from repro.knn.ivf import IVFFlatIndex
-from repro.knn.metrics import euclidean_distances
 from repro.reporting.tables import render_table
 
 pytestmark = pytest.mark.slow
@@ -31,33 +25,8 @@ pytestmark = pytest.mark.slow
 N_CORPUS = 10_000
 DIM = 64
 N_QUERIES = 1_000
-NLIST = 32
-NPROBE = 8
 KS = (1, 5)
 DTYPES = ("float64", "float32")
-
-
-def _seed_loop_kneighbors(index, queries, k):
-    """The pre-vectorization per-query implementation, verbatim."""
-    queries = np.asarray(queries, dtype=np.float64)
-    centroid_dist = euclidean_distances(queries, index._quantizer.centroids)
-    probe_order = np.argsort(centroid_dist, axis=1)
-    out_dist = np.empty((len(queries), k))
-    out_idx = np.empty((len(queries), k), dtype=np.int64)
-    for row, query in enumerate(queries):
-        probes = index.nprobe
-        while True:
-            candidates = np.concatenate(
-                [index._lists[c] for c in probe_order[row, :probes]]
-            )
-            if len(candidates) >= k or probes >= len(index._lists):
-                break
-            probes += 1
-        dist = euclidean_distances(query[None, :], index._x[candidates])[0]
-        top = np.argsort(dist)[:k]
-        out_dist[row] = dist[top]
-        out_idx[row] = candidates[top]
-    return out_dist, out_idx
 
 
 def _time(func, repeats=3):
@@ -74,88 +43,42 @@ def _run():
     x = rng.normal(size=(N_CORPUS, DIM))
     y = rng.integers(0, 10, N_CORPUS)
     queries = rng.normal(size=(N_QUERIES, DIM))
-    indexes = {
-        dtype: (
-            BruteForceKNN(dtype=dtype).fit(x, y),
-            IVFFlatIndex(
-                nlist=NLIST, nprobe=NPROBE, seed=0, dtype=dtype
-            ).fit(x, y),
-        )
-        for dtype in DTYPES
-    }
-    rows, loop_speedups, ivf_f32_gains = [], {}, {}
+    indexes = {dtype: BruteForceKNN(dtype=dtype).fit(x, y) for dtype in DTYPES}
+    rows, recalls = [], {}
     for k in KS:
-        timings = {}
+        seconds, found = {}, {}
         for dtype in DTYPES:
-            brute, ivf = indexes[dtype]
+            index = indexes[dtype]
             # Warm the lazily built corpus kernel outside the timing.
-            brute.kneighbors(queries[:2], k=k)
-            brute_s, (_, exact_idx) = _time(
-                lambda: brute.kneighbors(queries, k=k)
+            index.kneighbors(queries[:2], k=k)
+            seconds[dtype], (_, found[dtype]) = _time(
+                lambda: index.kneighbors(queries, k=k)
             )
-            vec_s, (_, ivf_idx) = _time(lambda: ivf.kneighbors(queries, k=k))
-            timings[dtype] = (brute_s, vec_s)
-            if dtype == "float64":
-                loop_s, (_, loop_idx) = _time(
-                    lambda: _seed_loop_kneighbors(ivf, queries, k), repeats=1
-                )
-                assert np.array_equal(ivf_idx, loop_idx), (
-                    "vectorized != seed loop"
-                )
-                loop_speedups[k] = loop_s / vec_s
-            recall = np.sum(ivf_idx[:, :, None] == exact_idx[:, None, :]) / (
-                N_QUERIES * k
-            )
-            brute64_s, ivf64_s = timings["float64"]
-            brute_gain = brute64_s / brute_s
-            ivf_gain = ivf64_s / vec_s
-            if dtype == "float32":
-                ivf_f32_gains[k] = ivf_gain
+            recall = np.sum(
+                found[dtype][:, :, None] == found["float64"][:, None, :]
+            ) / (N_QUERIES * k)
+            recalls[k, dtype] = recall
             rows.append([
                 k,
                 dtype,
-                round(brute_s * 1e3, 1),
-                round(N_QUERIES / brute_s),
-                round(vec_s * 1e3, 1),
-                round(N_QUERIES / vec_s),
-                f"{loop_speedups[k]:.1f}x" if dtype == "float64" else "",
-                f"{brute_gain:.1f}x/{ivf_gain:.1f}x"
+                round(seconds[dtype] * 1e3, 1),
+                round(N_QUERIES / seconds[dtype]),
+                f"{seconds['float64'] / seconds[dtype]:.1f}x"
                 if dtype == "float32"
                 else "1.0x (ref)",
                 round(recall, 3),
             ])
-    return rows, loop_speedups, ivf_f32_gains
+    return rows, recalls
 
 
 def test_knn_hot_paths(benchmark):
-    rows, loop_speedups, ivf_f32_gains = benchmark.pedantic(
-        _run, rounds=1, iterations=1
-    )
+    rows, recalls = benchmark.pedantic(_run, rounds=1, iterations=1)
     text = render_table(
-        [
-            "k",
-            "dtype",
-            "brute ms",
-            "brute q/s",
-            "ivf ms",
-            "ivf q/s",
-            "ivf vs seed loop",
-            "f32/f64 (brute/ivf)",
-            "recall@k",
-        ],
+        ["k", "dtype", "brute ms", "brute q/s", "f32/f64", "recall@k"],
         rows,
-        title=(
-            f"kNN hot paths: n={N_CORPUS}, d={DIM}, q={N_QUERIES}, "
-            f"nlist={NLIST}, nprobe={NPROBE}"
-        ),
+        title=f"kNN hot paths: n={N_CORPUS}, d={DIM}, q={N_QUERIES}",
     )
     write_result("knn_hot_paths", text)
-    # The acceptance bar: >= 10x over the seed per-query loop at n=10k
-    # on the paper's 1NN hot path (float64, so vectorization alone).
-    assert loop_speedups[1] >= 10.0
-    # All ks must still beat the loop by a wide margin.
-    assert all(s >= 5.0 for s in loop_speedups.values())
-    # The float32 kernels must deliver a real throughput gain on the IVF
-    # path (asserted softly so a noisy CI runner cannot flake the
-    # suite).  The brute-force gain is only recorded in the table.
-    assert all(gain >= 1.1 for gain in ivf_f32_gains.values())
+    # Speed is only recorded; the invariant is that float32 finds the
+    # float64 neighbors, up to swaps between near-tied candidates.
+    assert all(recall >= 0.99 for recall in recalls.values())

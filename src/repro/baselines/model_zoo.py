@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import DataValidationError
-from repro.knn.base import KNNIndex, make_index
+from repro.knn.brute_force import BruteForceKNN
 
 
 class _ZooModel:
@@ -129,26 +129,20 @@ class RidgeClassifier(_ZooModel):
 
 
 class KNNClassifierModel(_ZooModel):
-    """kNN classifier over a pluggable index (exact by default)."""
+    """Exact kNN classifier (majority vote over the k nearest neighbors)."""
 
-    def __init__(
-        self,
-        k: int = 5,
-        metric: str = "euclidean",
-        backend: str = "brute_force",
-    ):
+    def __init__(self, k: int = 5, metric: str = "euclidean"):
         if k < 1:
             raise DataValidationError("k must be >= 1")
         self.k = k
         self.metric = metric
-        self.backend = backend
-        self._index: KNNIndex | None = None
+        self._index: BruteForceKNN | None = None
 
     def fit(
         self, x: np.ndarray, y: np.ndarray, num_classes: int
     ) -> "KNNClassifierModel":
         x, y = self._validate(x, y)
-        self._index = make_index(self.backend, metric=self.metric).fit(x, y)
+        self._index = BruteForceKNN(metric=self.metric).fit(x, y)
         return self
 
     def predict(self, x: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 from repro.cleaning.simulator import CleaningSession, CleaningStep
 from repro.datasets.base import Dataset
 from repro.exceptions import DataValidationError
-from repro.knn.base import make_index
+from repro.knn.brute_force import BruteForceKNN
 from repro.rng import SeedLike, ensure_rng
 from repro.transforms.base import FeatureTransform
 from repro.transforms.store import EmbeddingStore, embed_or_transform
@@ -50,10 +50,8 @@ def disagreement_scores(
         test_f = embed_or_transform(store, transform, dataset.test_x)
     else:
         train_f, test_f = dataset.train_x, dataset.test_x
-    # Exact backend: suspicion scoring leans on leave-one-out queries.
-    index = make_index("brute_force", metric=metric).fit(
-        train_f, dataset.train_y
-    )
+    # Exact search: suspicion scoring leans on leave-one-out queries.
+    index = BruteForceKNN(metric=metric).fit(train_f, dataset.train_y)
     k_eff = min(k, max(1, len(train_f) - 1))
     _, neighbor_idx = index.kneighbors(train_f, k=k_eff, exclude_self=True)
     neighbor_labels = dataset.train_y[neighbor_idx]

@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.estimators.cover_hart import cover_hart_lower_bound
 from repro.exceptions import DataValidationError
-from repro.knn.base import make_index
+from repro.knn.brute_force import BruteForceKNN
 
 
 class SlidingWindowBER:
@@ -44,13 +44,11 @@ class SlidingWindowBER:
     window_size:
         Number of most-recent samples retained.
     metric:
-        Distance metric for the 1NN evaluation.
+        Distance metric for the exact 1NN evaluation
+        (:class:`~repro.knn.brute_force.BruteForceKNN`).
     eval_fraction:
         Fraction of the window held out as the evaluation split (the
         most recent samples, so the estimate reflects "now").
-    backend:
-        kNN index backend for the 1NN evaluation, built through
-        :func:`repro.knn.base.make_index` ("brute_force" by default).
     compute_dtype:
         Compute precision for the 1NN evaluation ("float32"/"float64";
         ``None`` keeps the strict float64 path).  A monitor re-estimates
@@ -64,7 +62,6 @@ class SlidingWindowBER:
         window_size: int = 512,
         metric: str = "euclidean",
         eval_fraction: float = 0.25,
-        backend: str = "brute_force",
         compute_dtype=None,
     ):
         if num_classes < 2:
@@ -77,7 +74,6 @@ class SlidingWindowBER:
         self.window_size = window_size
         self.metric = metric
         self.eval_fraction = eval_fraction
-        self.backend = backend
         self.compute_dtype = compute_dtype
         self._features: deque[np.ndarray] = deque(maxlen=window_size)
         self._labels: deque[int] = deque(maxlen=window_size)
@@ -124,8 +120,8 @@ class SlidingWindowBER:
         labels = np.array(self._labels)
         cut = int(len(labels) * (1.0 - self.eval_fraction))
         cut = min(max(cut, 2), len(labels) - 2)
-        index = make_index(
-            self.backend, metric=self.metric, dtype=self.compute_dtype
+        index = BruteForceKNN(
+            metric=self.metric, dtype=self.compute_dtype
         ).fit(features[:cut], labels[:cut])
         error = index.error(features[cut:], labels[cut:], k=1)
         return cover_hart_lower_bound(error, self.num_classes)

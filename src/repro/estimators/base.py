@@ -74,6 +74,12 @@ class BayesErrorEstimator(ABC):
             raise DataValidationError("train and test sets must be non-empty")
         if num_classes < 2:
             raise DataValidationError("num_classes must be >= 2")
+        for labels in (train_y, test_y):
+            if labels.min() < 0 or labels.max() >= num_classes:
+                raise DataValidationError(
+                    f"labels must lie in [0, {num_classes}), got "
+                    f"[{labels.min()}, {labels.max()}]"
+                )
         return train_x, train_y, test_x, test_y
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

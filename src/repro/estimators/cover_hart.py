@@ -20,7 +20,7 @@ from repro.estimators.base import (
     register_estimator,
 )
 from repro.exceptions import DataValidationError
-from repro.knn.base import make_index
+from repro.knn.brute_force import BruteForceKNN
 
 
 def cover_hart_lower_bound(one_nn_error: float, num_classes: int) -> float:
@@ -51,22 +51,15 @@ class OneNNEstimator(BayesErrorEstimator):
     """1NN test error mapped through the Cover–Hart bound (Eq. 2).
 
     ``value`` is the lower bound (Snoopy's R̂ for one transformation);
-    ``upper`` is the raw 1NN error.  ``backend`` selects the kNN index
-    via :func:`repro.knn.base.make_index` ("brute_force" is exact and
-    the default; "ivf" trades exactness for speed at scale).  ``dtype``
-    selects the compute precision ("float32"/"float64"; ``None`` keeps
-    the strict float64 path).
+    ``upper`` is the raw 1NN error, computed with the exact
+    :class:`~repro.knn.brute_force.BruteForceKNN`.  ``dtype`` selects
+    the compute precision ("float32"/"float64"; ``None`` keeps the
+    strict float64 path).
     """
 
-    def __init__(
-        self,
-        metric: str = "euclidean",
-        backend: str = "brute_force",
-        dtype=None,
-    ):
+    def __init__(self, metric: str = "euclidean", dtype=None):
         self.name = "1nn"
         self.metric = metric
-        self.backend = backend
         self.dtype = dtype
 
     def estimate(
@@ -80,18 +73,14 @@ class OneNNEstimator(BayesErrorEstimator):
         train_x, train_y, test_x, test_y = self._validate(
             train_x, train_y, test_x, test_y, num_classes
         )
-        index = make_index(
-            self.backend, metric=self.metric, dtype=self.dtype
-        ).fit(train_x, train_y)
+        index = BruteForceKNN(metric=self.metric, dtype=self.dtype).fit(
+            train_x, train_y
+        )
         error = index.error(test_x, test_y, k=1)
         lower = cover_hart_lower_bound(error, num_classes)
         return BEREstimate(
             value=lower,
             lower=lower,
             upper=error,
-            details={
-                "one_nn_error": error,
-                "metric": self.metric,
-                "backend": self.backend,
-            },
+            details={"one_nn_error": error, "metric": self.metric},
         )

@@ -17,31 +17,25 @@ from repro.estimators.base import (
     register_estimator,
 )
 from repro.exceptions import DataValidationError
-from repro.knn.base import make_index
+from repro.knn.brute_force import BruteForceKNN
 
 
 @register_estimator("de_knn")
 class DeKNNEstimator(BayesErrorEstimator):
     """Plug-in BER estimate from kNN posterior frequencies.
 
-    ``backend`` selects the kNN index via
-    :func:`repro.knn.base.make_index`; ``dtype`` the compute precision
-    ("float32"/"float64"; ``None`` keeps the strict float64 path).
+    Neighbors come from the exact
+    :class:`~repro.knn.brute_force.BruteForceKNN`; ``dtype`` selects
+    the compute precision ("float32"/"float64"; ``None`` keeps the
+    strict float64 path).
     """
 
-    def __init__(
-        self,
-        k: int = 10,
-        metric: str = "euclidean",
-        backend: str = "brute_force",
-        dtype=None,
-    ):
+    def __init__(self, k: int = 10, metric: str = "euclidean", dtype=None):
         if k < 1:
             raise DataValidationError(f"k must be >= 1, got {k}")
         self.name = f"de_knn_k{k}"
         self.k = k
         self.metric = metric
-        self.backend = backend
         self.dtype = dtype
 
     def estimate(
@@ -56,9 +50,9 @@ class DeKNNEstimator(BayesErrorEstimator):
             train_x, train_y, test_x, test_y, num_classes
         )
         k = min(self.k, len(train_x))
-        index = make_index(
-            self.backend, metric=self.metric, dtype=self.dtype
-        ).fit(train_x, train_y)
+        index = BruteForceKNN(metric=self.metric, dtype=self.dtype).fit(
+            train_x, train_y
+        )
         _, neighbor_idx = index.kneighbors(test_x, k=k)
         neighbor_labels = train_y[neighbor_idx]
         counts = np.zeros((len(test_x), num_classes))

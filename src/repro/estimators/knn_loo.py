@@ -19,33 +19,25 @@ from repro.estimators.base import (
 )
 from repro.estimators.cover_hart import cover_hart_lower_bound
 from repro.exceptions import DataValidationError
-from repro.knn.base import make_index
+from repro.knn.brute_force import BruteForceKNN
 
 
 @register_estimator("knn_loo")
 class KNNLooEstimator(BayesErrorEstimator):
     """Leave-one-out kNN error on the pooled sample, Cover–Hart corrected.
 
-    ``backend`` selects the kNN index via
-    :func:`repro.knn.base.make_index`; it must provide ``loo_error``
-    (the exact backends "brute_force" and "incremental" do).  ``dtype``
-    selects the compute precision ("float32"/"float64"; ``None`` keeps
-    the strict float64 path).
+    The leave-one-out search runs on the exact
+    :class:`~repro.knn.brute_force.BruteForceKNN`; ``dtype`` selects
+    the compute precision ("float32"/"float64"; ``None`` keeps the
+    strict float64 path).
     """
 
-    def __init__(
-        self,
-        k: int = 5,
-        metric: str = "euclidean",
-        backend: str = "brute_force",
-        dtype=None,
-    ):
+    def __init__(self, k: int = 5, metric: str = "euclidean", dtype=None):
         if k < 1:
             raise DataValidationError(f"k must be >= 1, got {k}")
         self.name = f"knn_loo_k{k}"
         self.k = k
         self.metric = metric
-        self.backend = backend
         self.dtype = dtype
 
     def estimate(
@@ -63,13 +55,9 @@ class KNNLooEstimator(BayesErrorEstimator):
         pooled_x = np.concatenate([train_x, test_x])
         pooled_y = np.concatenate([train_y, test_y])
         k = min(self.k, len(pooled_x) - 1)
-        index = make_index(self.backend, metric=self.metric, dtype=self.dtype)
-        if not hasattr(index, "loo_error"):
-            raise DataValidationError(
-                f"backend {self.backend!r} does not support leave-one-out "
-                "search; use an exact backend"
-            )
-        index.fit(pooled_x, pooled_y)
+        index = BruteForceKNN(metric=self.metric, dtype=self.dtype).fit(
+            pooled_x, pooled_y
+        )
         loo_error = index.loo_error(k=k)
         lower = cover_hart_lower_bound(loo_error, num_classes)
         return BEREstimate(

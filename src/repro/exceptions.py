@@ -16,16 +16,6 @@ class DataValidationError(ReproError):
     """A dataset, label array, or feature matrix failed validation."""
 
 
-class UnknownBackendError(DataValidationError):
-    """An unregistered kNN backend name was requested.
-
-    Raised by :func:`repro.knn.base.make_index`; the message names the
-    registered backends so a typo is self-diagnosing.  Subclasses
-    :class:`DataValidationError` so existing callers that catch the
-    broader class keep working.
-    """
-
-
 class TransitionMatrixError(DataValidationError):
     """A label-noise transition matrix is malformed (shape, rows, range)."""
 

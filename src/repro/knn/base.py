@@ -1,9 +1,7 @@
-"""Unified kNN index protocol, backend registry and voting kernel.
+"""kNN index protocol, shared exact search and voting kernel.
 
-Every nearest-neighbor backend in the library — the exact
-:class:`~repro.knn.brute_force.BruteForceKNN`, the approximate
-:class:`~repro.knn.ivf.IVFFlatIndex` and the append-only
-:class:`~repro.knn.incremental.IncrementalKNNIndex` — implements the
+:class:`~repro.knn.brute_force.BruteForceKNN` — the one index, exact as
+the paper's 1NN, DE-kNN and kNN-LOO estimates require — implements the
 :class:`KNNIndex` abstract base class defined here:
 
 - ``fit(x, y)`` indexes a corpus of feature rows with integer labels,
@@ -12,15 +10,12 @@ Every nearest-neighbor backend in the library — the exact
 - ``error(queries, true_labels, k)`` is its misclassification rate,
 - ``num_fitted`` reports the corpus size.
 
-Call sites (estimator zoo, baseline model zoo, Snoopy, cleaning,
-drift monitoring) construct indexes through :func:`make_index` so the
-backend is a configuration choice rather than a hard-coded import —
-the paper's accelerator-style scaling path (Johnson et al.) then only
-requires flipping ``backend="brute_force"`` to ``backend="ivf"``.
+Call sites (estimator zoo, baseline model zoo, cleaning, drift
+monitoring) construct it directly.  :class:`ExactSearchMixin` holds its
+blocked top-k and leave-one-out search.
 
 The module also hosts :func:`majority_vote`, the fully vectorized
-voting kernel shared by all backends (no per-row Python scan, even on
-ties).
+voting kernel (no per-row Python scan, even on ties).
 """
 
 from __future__ import annotations
@@ -29,16 +24,12 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from repro.exceptions import DataValidationError, UnknownBackendError
+from repro.exceptions import DataValidationError
 from repro.knn.kernels import DistanceKernel, make_kernel
 
 
 class KNNIndex(ABC):
-    """Abstract base class every kNN backend implements.
-
-    Concrete backends are registered under a string name and built via
-    :func:`make_index`; see the module docstring for the contract.
-    """
+    """Abstract base class of a kNN index; see the module docstring."""
 
     @property
     @abstractmethod
@@ -74,7 +65,7 @@ class KNNIndex(ABC):
         return float(np.mean(self.predict(queries, k=k) != true_labels))
 
     def _fitted_labels(self) -> np.ndarray:
-        """Corpus labels; backends with a ``_y`` attribute get this free."""
+        """Corpus labels; indexes with a ``_y`` attribute get this free."""
         labels = getattr(self, "_y", None)
         if labels is None:
             raise DataValidationError("index is not fitted; call fit() first")
@@ -82,11 +73,11 @@ class KNNIndex(ABC):
 
 
 class ExactSearchMixin:
-    """Shared blocked exact search for corpus-backed backends.
+    """Shared blocked exact search for a corpus-backed index.
 
     Hosts the fused top-k/leave-one-out plumbing; expects ``self.metric``,
-    ``self.block_size``, ``self.dtype``, a ``self._kernel_cache`` slot
-    (set to ``None`` whenever the corpus changes) and
+    ``self.dtype``, a ``self._kernel_cache`` slot (set to ``None``
+    whenever the corpus changes) and
     ``_require_fitted() -> (corpus, labels)``.
 
     The corpus-bound :class:`~repro.knn.kernels.DistanceKernel` is built
@@ -120,7 +111,7 @@ class ExactSearchMixin:
         # dtype, so float32 queries feed a float32 index with zero
         # widening copies.
         return self._search_kernel().topk(
-            queries, k, block_size=self.block_size, exclude_self=exclude_self
+            queries, k, exclude_self=exclude_self
         )
 
     def loo_error(self, k: int = 1) -> float:
@@ -128,77 +119,6 @@ class ExactSearchMixin:
         corpus, labels = self._require_fitted()
         _, idx = self.kneighbors(corpus, k=k, exclude_self=True)
         return float(np.mean(majority_vote(labels[idx]) != labels))
-
-
-_BACKENDS: dict[str, type] = {}
-
-_BACKEND_ALIASES = {"exact": "brute_force"}
-
-
-def register_backend(name: str):
-    """Class decorator registering a :class:`KNNIndex` under ``name``."""
-
-    def decorator(cls):
-        _BACKENDS[name] = cls
-        return cls
-
-    return decorator
-
-
-#: Backends whose quantizer structure is euclidean-only; requesting any
-#: other metric raises instead of silently degrading.
-_EUCLIDEAN_ONLY = frozenset({"ivf"})
-
-
-def _load_default_backends() -> None:
-    # Imported lazily so base <-> backend modules never cycle.
-    from repro.knn import brute_force, incremental, ivf  # noqa: F401
-
-
-def available_backends() -> tuple[str, ...]:
-    """Names accepted by :func:`make_index`."""
-    _load_default_backends()
-    return tuple(sorted(_BACKENDS))
-
-
-def make_index(
-    backend: str = "brute_force", *, metric: str = "euclidean", **kwargs
-) -> KNNIndex:
-    """Build a kNN index by backend name.
-
-    Parameters
-    ----------
-    backend:
-        One of :func:`available_backends` ("brute_force" — alias
-        "exact" —, "ivf", "incremental").  An unregistered name raises
-        :class:`~repro.exceptions.UnknownBackendError` naming the
-        registered backends.
-    metric:
-        Distance metric.  The quantizer-based "ivf" backend is
-        euclidean-only; requesting cosine raises
-        :class:`DataValidationError` instead of silently degrading.
-    kwargs:
-        Forwarded to the backend constructor (e.g. ``block_size`` for
-        the exact backends, ``nlist``/``nprobe``/``seed`` for IVF, and
-        ``dtype`` — "float32"/"float64" compute precision — for all of
-        them).
-    """
-    _load_default_backends()
-    name = _BACKEND_ALIASES.get(backend, backend)
-    cls = _BACKENDS.get(name)
-    if cls is None:
-        raise UnknownBackendError(
-            f"unknown kNN backend {backend!r}; "
-            f"available backends: {available_backends()}"
-        )
-    if name in _EUCLIDEAN_ONLY:
-        if metric != "euclidean":
-            raise DataValidationError(
-                f"{name} backend supports only the euclidean metric, "
-                f"got {metric!r}"
-            )
-        return cls(**kwargs)
-    return cls(metric=metric, **kwargs)
 
 
 def majority_vote(neighbor_labels: np.ndarray) -> np.ndarray:

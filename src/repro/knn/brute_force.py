@@ -1,11 +1,11 @@
 """Exact brute-force kNN index.
 
-Used directly by the estimator zoo (kNN-LOO, DE-kNN) and by the baseline
-model zoo's kNN classifier.  For the streaming 1NN evaluation that Snoopy
-itself performs, see :mod:`repro.knn.progressive`.
+The one kNN index of the library: the estimator zoo (1NN, DE-kNN,
+kNN-LOO), the baseline model zoo's kNN classifier, prioritized cleaning
+and the drift monitor construct it directly.  For the streaming 1NN
+evaluation that Snoopy itself performs, see :mod:`repro.knn.progressive`.
 
-Implements the :class:`repro.knn.base.KNNIndex` protocol and is the
-default backend of :func:`repro.knn.base.make_index`.
+Implements the :class:`repro.knn.base.KNNIndex` protocol.
 """
 
 from __future__ import annotations
@@ -13,16 +13,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import DataValidationError
-from repro.knn.base import (
-    ExactSearchMixin,
-    KNNIndex,
-    majority_vote,
-    register_backend,
-)
+from repro.knn.base import ExactSearchMixin, KNNIndex
 from repro.knn.kernels import resolve_dtype
 
 
-@register_backend("brute_force")
 class BruteForceKNN(ExactSearchMixin, KNNIndex):
     """Exact kNN search over an in-memory corpus.
 
@@ -30,10 +24,6 @@ class BruteForceKNN(ExactSearchMixin, KNNIndex):
     ----------
     metric:
         "euclidean" or "cosine".
-    block_size:
-        Upper bound on the query rows per distance block; a block holds
-        fewer when its product against the corpus would pass the
-        kernel's byte budget.
     dtype:
         Compute dtype for the distance arithmetic ("float32" or
         "float64"); ``None`` (default) keeps the strict ``float64``
@@ -41,11 +31,8 @@ class BruteForceKNN(ExactSearchMixin, KNNIndex):
         across every ``kneighbors`` call.
     """
 
-    def __init__(
-        self, metric: str = "euclidean", block_size: int = 2048, dtype=None
-    ):
+    def __init__(self, metric: str = "euclidean", dtype=None):
         self.metric = metric
-        self.block_size = block_size
         resolve_dtype(dtype)  # fail fast, not at the first search
         self.dtype = dtype
         self._x: np.ndarray | None = None
@@ -58,9 +45,9 @@ class BruteForceKNN(ExactSearchMixin, KNNIndex):
         return 0 if self._x is None else len(self._x)
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "BruteForceKNN":
-        """Index the corpus ``x`` with integer labels ``y``."""
+        """Index the corpus ``x`` with non-negative integer labels ``y``."""
         x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y)
+        y = np.asarray(y).astype(np.int64)
         if x.ndim != 2:
             raise DataValidationError(f"x must be 2-D, got shape {x.shape}")
         if len(x) != len(y):
@@ -69,8 +56,14 @@ class BruteForceKNN(ExactSearchMixin, KNNIndex):
             )
         if len(x) == 0:
             raise DataValidationError("cannot fit an empty corpus")
+        if y.min() < 0:
+            # majority_vote counts votes in one column per label, so a
+            # negative label would wrap into another class's column.
+            raise DataValidationError(
+                f"labels must be non-negative, got {y.min()}"
+            )
         self._x = x
-        self._y = y.astype(np.int64)
+        self._y = y
         self._kernel_cache = None
         return self
 
@@ -81,13 +74,3 @@ class BruteForceKNN(ExactSearchMixin, KNNIndex):
 
     # kneighbors / loo_error come from ExactSearchMixin; predict/error
     # from KNNIndex.
-
-
-def _majority_vote(neighbor_labels: np.ndarray, distances: np.ndarray) -> np.ndarray:
-    """Backward-compatible alias for :func:`repro.knn.base.majority_vote`.
-
-    The ``distances`` argument is unused: the labels arrive sorted by
-    distance, which is the only ordering information the vote needs.
-    """
-    del distances
-    return majority_vote(neighbor_labels)

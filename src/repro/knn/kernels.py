@@ -3,7 +3,7 @@
 Every exact distance evaluation in the library ultimately reduces to one
 of two shapes: *stream* (a fixed query set compared against batch after
 batch of corpus rows — the progressive 1NN evaluator) or *search* (a
-fixed corpus probed by changing query sets — the kNN indexes).  In both
+fixed corpus probed by changing query sets — the kNN index).  In both
 shapes one side of the computation is bound for thousands of calls while
 the other side changes, yet the historical code paths recomputed the
 bound side's squared norms (euclidean) or row normalization (cosine)
@@ -57,8 +57,8 @@ throughput from:
 
 Internally the kernels compare *comparable* values — squared distances
 for euclidean, the dissimilarity itself for cosine — which order
-identically to true distances.  :meth:`DistanceKernel.to_distance` /
-:meth:`DistanceKernel.from_distance` convert at the boundary.
+identically to true distances.  :meth:`DistanceKernel.to_distance`
+converts at the boundary.
 """
 
 from __future__ import annotations
@@ -219,10 +219,6 @@ class DistanceKernel(ABC):
     def to_distance(self, comparable: np.ndarray) -> np.ndarray:
         """Map comparable values to true distances (new float64 array)."""
 
-    @abstractmethod
-    def from_distance(self, distance: np.ndarray) -> np.ndarray:
-        """Map true distances to comparable values in the compute dtype."""
-
     def _cast_other(self, other: np.ndarray) -> np.ndarray:
         other = np.asarray(other, dtype=self._dtype)
         if other.ndim != 2:
@@ -239,20 +235,16 @@ class DistanceKernel(ABC):
     # Fused blocked primitives
     # ------------------------------------------------------------------
 
-    def comparable_from(self, queries: np.ndarray, state=None) -> np.ndarray:
+    def comparable_from(self, queries: np.ndarray) -> np.ndarray:
         """Full comparable matrix ``(len(queries), num_bound)``.
 
-        For small bound sets only (e.g. a centroid table whose full
-        ordering is needed); the blocked primitives below are the
-        memory-bounded paths.  ``state`` optionally supplies the
-        query-side per-row state (as produced by this kernel for the
-        same rows) so a caller that already holds it skips the
-        recomputation.
+        The dense reference for small row sets; the blocked primitives
+        below are the memory-bounded paths.
         """
         queries = self._cast_other(queries)
-        if state is None:
-            state = self._state(queries)
-        return self._cross(queries, state, self._bound, self._bound_state)
+        return self._cross(
+            queries, self._state(queries), self._bound, self._bound_state
+        )
 
     def nearest_among(
         self, other: np.ndarray, block_size: int = 2048
@@ -324,83 +316,6 @@ class DistanceKernel(ABC):
         entries = np.take_along_axis(product, idx, axis=1)
         return idx, self._comparables(entries, row_state, col_state, idx)
 
-    def extend(self, bound: np.ndarray) -> "DistanceKernel":
-        """A kernel over ``bound``, reusing this kernel's cached state.
-
-        ``bound`` must contain this kernel's bound rows as its prefix
-        (the append-only corpus case): per-row state is computed for
-        the appended suffix only, so extending costs O(appended)
-        instead of the O(total) a fresh bind would pay.  Per-row state
-        is independent across rows, so the result is identical to
-        binding ``bound`` from scratch.
-        """
-        bound = np.asarray(bound, dtype=self._dtype)
-        if bound.ndim != 2 or bound.shape[1] != self.dim:
-            raise DataValidationError(
-                f"extended bound must be 2-D with {self.dim} columns, "
-                f"got shape {bound.shape}"
-            )
-        if len(bound) < self.num_bound:
-            raise DataValidationError(
-                f"extended bound has {len(bound)} rows, fewer than the "
-                f"{self.num_bound} already bound"
-            )
-        extended = object.__new__(type(self))
-        extended._dtype = self._dtype
-        extended._bound = bound
-        suffix_state = self._state(bound[self.num_bound :])
-        extended._bound_state = _concat_state(
-            self._bound_state, suffix_state
-        )
-        return extended
-
-    def pair_comparable(
-        self, queries: np.ndarray, indices: np.ndarray
-    ) -> np.ndarray:
-        """Comparable distances for explicit (query, bound-row) pairs.
-
-        ``indices`` has shape ``(len(queries), t)``; entry ``[i, j]`` is
-        a bound-row index, and the result ``[i, j]`` is the comparable
-        distance between query ``i`` and that bound row.  This is the
-        re-ranking primitive of the approximate indexes: a candidate
-        shortlist (one row set per query) is verified exactly without
-        ever forming a full query-by-corpus block.  The arithmetic is
-        the kernel's own (same cached bound state, same expansion), so
-        the values are exactly what :meth:`topk` would report for the
-        same pairs up to BLAS summation order.
-        """
-        queries = self._cast_other(queries)
-        indices = np.asarray(indices, dtype=np.int64)
-        if indices.ndim != 2 or len(indices) != len(queries):
-            raise DataValidationError(
-                f"indices must be 2-D with one row per query, got shape "
-                f"{indices.shape} for {len(queries)} queries"
-            )
-        if len(indices) and indices.size:
-            if indices.min() < 0 or indices.max() >= self.num_bound:
-                raise DataValidationError(
-                    f"pair indices out of range for {self.num_bound} "
-                    f"bound rows"
-                )
-        state = self._state(queries)
-        rows = self._bound[indices]
-        row_state = _slice_state(self._bound_state, indices)
-        return self._pair(queries, state, rows, row_state)
-
-    def pair_distances(
-        self, queries: np.ndarray, indices: np.ndarray
-    ) -> np.ndarray:
-        """True distances for explicit pairs (float64); see pair_comparable."""
-        return self.to_distance(self.pair_comparable(queries, indices))
-
-    @abstractmethod
-    def _pair(self, a, a_state, rows, row_state) -> np.ndarray:
-        """Comparable distances between ``a[i]`` and each of ``rows[i]``.
-
-        ``rows`` has shape ``(n, t, d)`` (gathered bound rows) and
-        ``row_state`` is the bound state gathered the same way.
-        """
-
     def topk(
         self,
         queries: np.ndarray,
@@ -466,11 +381,6 @@ class EuclideanKernel(DistanceKernel):
 
     metric = "euclidean"
 
-    @property
-    def bound_norms_sq(self) -> np.ndarray:
-        """Cached squared norms of the bound rows (compute dtype)."""
-        return self._bound_state
-
     def _state(self, rows: np.ndarray) -> np.ndarray:
         # np.sum(rows * rows) — not einsum — so the float64 path is
         # bit-identical to the historical pairwise_distances norms.
@@ -496,21 +406,8 @@ class EuclideanKernel(DistanceKernel):
         np.maximum(sq, self._dtype.type(0.0), out=sq)
         return sq
 
-    def _pair(self, a, a_state, rows, row_state) -> np.ndarray:
-        two = self._dtype.type(2.0)
-        # Batched matvec (BLAS) rather than einsum: one gemv per query
-        # row against its gathered candidate block.
-        dots = (rows @ a[:, :, None])[:, :, 0]
-        sq = a_state[:, None] + row_state - two * dots
-        np.maximum(sq, self._dtype.type(0.0), out=sq)
-        return sq
-
     def to_distance(self, comparable: np.ndarray) -> np.ndarray:
         return np.sqrt(comparable, dtype=np.float64)
-
-    def from_distance(self, distance: np.ndarray) -> np.ndarray:
-        distance = np.asarray(distance, dtype=self._dtype)
-        return distance * distance
 
 
 class CosineKernel(DistanceKernel):
@@ -555,20 +452,8 @@ class CosineKernel(DistanceKernel):
         )
         return self._dtype.type(1.0) - entries
 
-    def _pair(self, a, a_state, rows, row_state) -> np.ndarray:
-        a_unit, a_zero = a_state
-        row_unit, row_zero = row_state
-        sim = (row_unit @ a_unit[:, :, None])[:, :, 0]
-        np.clip(sim, self._dtype.type(-1.0), self._dtype.type(1.0), out=sim)
-        sim[a_zero, :] = 0.0
-        sim[row_zero] = 0.0
-        return self._dtype.type(1.0) - sim
-
     def to_distance(self, comparable: np.ndarray) -> np.ndarray:
         return np.asarray(comparable, dtype=np.float64).copy()
-
-    def from_distance(self, distance: np.ndarray) -> np.ndarray:
-        return np.asarray(distance, dtype=self._dtype).copy()
 
 
 _KERNELS = {
@@ -594,17 +479,13 @@ def make_kernel(
     return cls(bound, dtype=dtype)
 
 
-def _select(
-    key: np.ndarray, k: int, largest: bool, values: np.ndarray | None = None
-) -> np.ndarray:
+def _select(key: np.ndarray, k: int, largest: bool) -> np.ndarray:
     """Columns of the ``k`` best entries of each row of ``key``, best first.
 
     Takes ``k`` argmin/argmax passes; each pass after the first sets the
     previous pass's winners to the worst value, so ``key`` is
     overwritten when ``k > 1``.  Every pass keeps the first extremum, so
     exact ties go to the earliest column, at the ``k``-th place too.
-    ``values``, when given, receives the winners' key entries, gathered
-    before they are masked.
     """
     best = np.argmax if largest else np.argmin
     worst = -np.inf if largest else np.inf
@@ -614,8 +495,6 @@ def _select(
         if j:
             key[rows, idx[:, j - 1]] = worst
         idx[:, j] = best(key, axis=1)
-        if values is not None:
-            values[:, j] = key[rows, idx[:, j]]
     return idx
 
 
@@ -624,12 +503,3 @@ def _slice_state(state, block: slice):
     if isinstance(state, tuple):
         return tuple(part[block] for part in state)
     return state[block]
-
-
-def _concat_state(state, suffix):
-    """Concatenate per-row state along the row axis (tuple-aware)."""
-    if isinstance(state, tuple):
-        return tuple(
-            np.concatenate((part, more)) for part, more in zip(state, suffix)
-        )
-    return np.concatenate((state, suffix))

@@ -11,6 +11,7 @@ from repro.estimators import (
     KDEEstimator,
     KNNExtrapolationEstimator,
     KNNLooEstimator,
+    OneNNEstimator,
     get_estimator,
 )
 from repro.estimators.base import BEREstimate, register_estimator
@@ -77,6 +78,25 @@ class TestCommonBehaviour:
         easy = estimator.estimate(*easy_split, 3).value
         hard = estimator.estimate(*hard_split, 2).value
         assert hard > easy
+
+
+class TestLabelRange:
+    """Labels outside ``[0, num_classes)`` raise a validation error; the
+    estimators index per-class counts by label, so such a label would
+    either be counted as another class or index past the counts."""
+
+    @pytest.mark.parametrize(
+        "estimator", [OneNNEstimator(), *ALL_ESTIMATORS], ids=lambda e: e.name
+    )
+    @pytest.mark.parametrize("bad", [3, -1])
+    @pytest.mark.parametrize("side", ["train", "test"])
+    def test_out_of_range_labels_raise(self, estimator, bad, side, rng):
+        x = rng.normal(size=(4, 2))
+        good = np.array([0, 1, 1, 0])
+        labels = np.array([0, bad, 1, 1])
+        train_y, test_y = (labels, good) if side == "train" else (good, labels)
+        with pytest.raises(DataValidationError, match=r"must lie in \[0, 2\)"):
+            estimator.estimate(x, train_y, x, test_y, 2)
 
 
 class TestKNNLoo:

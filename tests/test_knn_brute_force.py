@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.exceptions import DataValidationError
-from repro.knn.brute_force import BruteForceKNN, _majority_vote
+from repro.knn.base import majority_vote
+from repro.knn.brute_force import BruteForceKNN
+from repro.knn.kernels import make_kernel
 from repro.knn.metrics import euclidean_distances
 
 
@@ -36,6 +38,12 @@ class TestFit:
         with pytest.raises(DataValidationError, match="not fitted"):
             BruteForceKNN().kneighbors(rng.normal(size=(2, 2)))
 
+    def test_negative_labels_raise(self, rng):
+        # majority_vote indexes vote columns by label, so -1 would be
+        # counted as the last class (here 0).
+        with pytest.raises(DataValidationError, match="non-negative"):
+            BruteForceKNN().fit(rng.normal(size=(4, 2)), [-1, -1, 0, 0])
+
 
 class TestKNeighbors:
     def test_distances_sorted(self, fitted, rng):
@@ -66,10 +74,10 @@ class TestKNeighbors:
         x = rng.normal(size=(50, 4))
         y = rng.integers(0, 2, size=50)
         q = rng.normal(size=(9, 4))
-        big = BruteForceKNN(block_size=1000).fit(x, y)
-        small = BruteForceKNN(block_size=3).fit(x, y)
-        d1, i1 = big.kneighbors(q, k=4)
-        d2, i2 = small.kneighbors(q, k=4)
+        d1, i1 = BruteForceKNN().fit(x, y).kneighbors(q, k=4)
+        d2, i2 = make_kernel("euclidean", x, dtype=None).topk(
+            q, k=4, block_size=3
+        )
         np.testing.assert_allclose(d1, d2)
         np.testing.assert_array_equal(i1, i2)
 
@@ -114,16 +122,11 @@ class TestPredictAndError:
 class TestMajorityVote:
     def test_k1_returns_first(self):
         labels = np.array([[2], [0], [1]])
-        dist = np.zeros((3, 1))
-        np.testing.assert_array_equal(_majority_vote(labels, dist), [2, 0, 1])
+        np.testing.assert_array_equal(majority_vote(labels), [2, 0, 1])
 
     def test_clear_majority(self):
-        labels = np.array([[1, 1, 0]])
-        dist = np.array([[0.1, 0.2, 0.3]])
-        assert _majority_vote(labels, dist)[0] == 1
+        assert majority_vote(np.array([[1, 1, 0]]))[0] == 1
 
     def test_tie_broken_by_nearest(self):
-        labels = np.array([[2, 0, 2, 0]])
-        dist = np.array([[0.1, 0.2, 0.3, 0.4]])
         # 2 and 0 both appear twice; 2 is nearest.
-        assert _majority_vote(labels, dist)[0] == 2
+        assert majority_vote(np.array([[2, 0, 2, 0]]))[0] == 2

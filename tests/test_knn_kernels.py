@@ -11,8 +11,8 @@ Four layers:
 - a float64 regression suite proving the bound-kernel paths agree with
   the legacy recompute-everything paths bit-for-bit;
 - a hypothesis parity suite asserting the float32 compute path matches
-  float64 within tolerance (errors, top-k indices modulo ties) across
-  every backend and the progressive evaluator.
+  float64 within tolerance (errors, top-k indices modulo ties) on the
+  brute-force index and the progressive evaluator.
 """
 
 import tracemalloc
@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from repro.exceptions import DataValidationError
 from repro.knn import kernels
-from repro.knn.base import make_index
+from repro.knn.brute_force import BruteForceKNN
 from repro.knn.kernels import (
     DEFAULT_COMPUTE_DTYPE,
     CosineKernel,
@@ -41,8 +41,6 @@ from repro.knn.metrics import (
     pairwise_distances,
 )
 from repro.knn.progressive import ProgressiveOneNN
-
-BACKENDS = ("brute_force", "ivf", "incremental")
 
 #: Tolerances for float32-vs-float64 agreement on O(1)-scale gaussians.
 F32_RTOL, F32_ATOL = 1e-4, 1e-5
@@ -64,10 +62,9 @@ class TestResolveDtype:
     def test_default_is_float32(self):
         assert resolve_dtype(DEFAULT_COMPUTE_DTYPE) == np.dtype(np.float32)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_indexes_fail_fast_on_bad_dtype(self, backend):
+    def test_index_fails_fast_on_bad_dtype(self):
         with pytest.raises(DataValidationError, match="compute dtype"):
-            make_index(backend, dtype="float16")
+            BruteForceKNN(dtype="float16")
 
 
 class TestKernelConstruction:
@@ -92,7 +89,7 @@ class TestKernelConstruction:
         assert kernel.num_bound == 6
         assert kernel.dim == 3
         np.testing.assert_allclose(
-            kernel.bound_norms_sq,
+            kernel._bound_state,
             np.sum(x * x, axis=1).astype(np.float32),
             rtol=1e-6,
         )
@@ -136,16 +133,6 @@ class TestFusedPrimitives:
         assert dist[0, 1] == pytest.approx(1.0)
         # A zero query is at distance 1 from everything.
         np.testing.assert_allclose(dist[1], 1.0)
-
-    def test_from_distance_roundtrip(self, rng):
-        x = rng.normal(size=(8, 3))
-        for metric in ("euclidean", "cosine"):
-            kernel = make_kernel(metric, x, dtype=None)
-            dist = np.abs(rng.normal(size=5))
-            np.testing.assert_allclose(
-                kernel.to_distance(kernel.from_distance(dist)), dist,
-                rtol=1e-12,
-            )
 
 
 class TestBlockBudget:
@@ -536,17 +523,15 @@ class TestFloat32Parity:
         n=st.integers(min_value=12, max_value=120),
         dim=st.integers(min_value=1, max_value=10),
         k=st.integers(min_value=1, max_value=6),
-        backend=st.sampled_from(BACKENDS),
     )
     @settings(max_examples=40, deadline=None)
-    def test_backends_match_across_dtypes(self, seed, n, dim, k, backend):
+    def test_kneighbors_match_across_dtypes(self, seed, n, dim, k):
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(n, dim))
         y = rng.integers(0, 3, n)
         queries = rng.normal(size=(9, dim))
-        kwargs = {"nlist": 4, "seed": 0} if backend == "ivf" else {}
-        strict = make_index(backend, dtype=None, **kwargs).fit(x, y)
-        fast = make_index(backend, dtype="float32", **kwargs).fit(x, y)
+        strict = BruteForceKNN(dtype=None).fit(x, y)
+        fast = BruteForceKNN(dtype="float32").fit(x, y)
         dist64, idx64 = strict.kneighbors(queries, k=k)
         dist32, idx32 = fast.kneighbors(queries, k=k)
         assert dist32.dtype == np.float64  # outputs stay dtype-stable
@@ -582,8 +567,8 @@ class TestFloat32Parity:
     def test_loo_error_matches_across_dtypes(self, rng):
         x = rng.normal(size=(80, 6))
         y = rng.integers(0, 3, 80)
-        strict = make_index("brute_force", dtype=None).fit(x, y)
-        fast = make_index("brute_force", dtype="float32").fit(x, y)
+        strict = BruteForceKNN(dtype=None).fit(x, y)
+        fast = BruteForceKNN(dtype="float32").fit(x, y)
         assert strict.loo_error(k=3) == fast.loo_error(k=3)
 
     def test_cosine_float32_matches_reference(self, rng):
@@ -603,7 +588,7 @@ class TestKernelCaching:
     """The bound-side cache must be rebuilt whenever the corpus changes."""
 
     def test_brute_force_refit_invalidates_kernel(self, rng):
-        index = make_index("brute_force")
+        index = BruteForceKNN()
         index.fit(rng.normal(size=(20, 3)), rng.integers(0, 2, 20))
         first = index.kneighbors(rng.normal(size=(4, 3)), k=2)
         x2 = rng.normal(size=(30, 3))
@@ -613,23 +598,8 @@ class TestKernelCaching:
         np.testing.assert_array_equal(idx[:, 0], np.arange(4))
         del first
 
-    def test_incremental_append_invalidates_kernel(self, rng):
-        x = rng.normal(size=(25, 4))
-        y = rng.integers(0, 2, 25)
-        index = make_index("incremental").fit(x[:10], y[:10])
-        index.kneighbors(x[:3], k=1)  # builds the kernel cache
-        index.partial_fit(x[10:], y[10:])
-        reference = make_index("brute_force").fit(x, y)
-        d1, i1 = index.kneighbors(x, k=3)
-        d2, i2 = reference.kneighbors(x, k=3)
-        np.testing.assert_array_equal(i1, i2)
-        # Not assert_array_equal: the two corpora are separate
-        # allocations and BLAS results may differ in the last ulp
-        # depending on buffer alignment.
-        np.testing.assert_allclose(d1, d2, rtol=1e-12, atol=1e-12)
-
     def test_search_reuses_cached_kernel(self, rng):
-        index = make_index("brute_force").fit(
+        index = BruteForceKNN().fit(
             rng.normal(size=(20, 3)), rng.integers(0, 2, 20)
         )
         index.kneighbors(rng.normal(size=(2, 3)))
@@ -638,27 +608,3 @@ class TestKernelCaching:
         index.kneighbors(rng.normal(size=(2, 3)))
         assert index._kernel_cache is kernel
 
-
-class TestKernelExtend:
-    def test_extend_matches_fresh_bind(self, rng):
-        for metric in ("euclidean", "cosine"):
-            for dtype in ("float32", "float64"):
-                rows = rng.normal(size=(120, 9))
-                base = make_kernel(metric, rows[:80], dtype=dtype)
-                extended = base.extend(rows)
-                fresh = make_kernel(metric, rows, dtype=dtype)
-                queries = rng.normal(size=(15, 9))
-                np.testing.assert_array_equal(
-                    extended.topk(queries, 3)[0], fresh.topk(queries, 3)[0]
-                )
-                np.testing.assert_array_equal(
-                    extended.topk(queries, 3)[1], fresh.topk(queries, 3)[1]
-                )
-                assert extended.num_bound == 120
-
-    def test_extend_validates_prefix(self, rng):
-        kernel = make_kernel("euclidean", rng.normal(size=(50, 6)))
-        with pytest.raises(DataValidationError):
-            kernel.extend(rng.normal(size=(30, 6)))  # shrunk
-        with pytest.raises(DataValidationError):
-            kernel.extend(rng.normal(size=(60, 7)))  # wrong dim
