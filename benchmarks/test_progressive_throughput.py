@@ -9,14 +9,15 @@ block in several full passes where the kernel's fused block makes one.
 The comparison runs at **float64**, so the recorded speedup is
 attributable to bind-once norm caching, deferred sqrt and the fused
 block alone — and the 1NN error curve is asserted identical.  A float32
-row records the additional single-precision gain.
+row records the additional single-precision gain.  Speedups are recorded
+columns, not asserted: they depend on the host.
 
 The relative win grows as pulls get smaller (the recomputed test-norm
 term is amortized over fewer batch rows), so the benchmark sweeps the
 pull size; the small-pull regime is exactly where the bandit's
 fine-grained allocation and the cleaning loop live.
 
-Results land in ``benchmarks/results/progressive_throughput.txt``.
+Results land in ``benchmarks/fresh/progressive_throughput.txt``.
 Marked ``slow``: deselect with ``-m "not slow"`` to keep tier-1 fast.
 """
 
@@ -96,19 +97,15 @@ def _run():
     test_y = rng.integers(0, 10, N_TEST)
     train_x = rng.normal(size=(N_TRAIN, DIM))
     train_y = rng.integers(0, 10, N_TRAIN)
-    rows, caching_speedups = [], {}
+    rows = []
     for pull_size in PULL_SIZES:
         num_pulls = -(-N_TRAIN // pull_size)
         (legacy_s, bound_s, f32_s), (legacy_errors, bound_errors, f32_errors) = (
             _best_of(
                 [
                     lambda: _LegacyProgressive(test_x, test_y),
-                    lambda: ProgressiveOneNN(
-                        test_x, test_y, record_curve=False, dtype=None
-                    ),
-                    lambda: ProgressiveOneNN(
-                        test_x, test_y, record_curve=False, dtype="float32"
-                    ),
+                    lambda: ProgressiveOneNN(test_x, test_y, dtype=None),
+                    lambda: ProgressiveOneNN(test_x, test_y, dtype="float32"),
                 ],
                 train_x, train_y, pull_size,
             )
@@ -116,7 +113,6 @@ def _run():
         # Float64 vs float64: the bound kernel must not change a single
         # error reading — the speedup is pure caching, not precision.
         assert bound_errors == legacy_errors, "bound kernel changed errors"
-        caching_speedups[pull_size] = legacy_s / bound_s
         for label, seconds, errors in (
             ("legacy f64", legacy_s, legacy_errors),
             ("kernel f64", bound_s, bound_errors),
@@ -131,11 +127,11 @@ def _run():
                 f"{legacy_s / seconds:.2f}x",
                 round(errors[-1], 4),
             ])
-    return rows, caching_speedups
+    return rows
 
 
 def test_progressive_throughput(benchmark):
-    rows, caching_speedups = benchmark.pedantic(_run, rounds=1, iterations=1)
+    rows = benchmark.pedantic(_run, rounds=1, iterations=1)
     text = render_table(
         [
             "pull",
@@ -154,8 +150,3 @@ def test_progressive_throughput(benchmark):
         ),
     )
     write_result("progressive_throughput", text)
-    # Bind-once caching must win decisively at the small pulls the
-    # bandit actually issues, and never regress beyond timing noise at
-    # large pulls (soft bounds; the table records the actual factors).
-    assert caching_speedups[min(PULL_SIZES)] >= 1.3
-    assert all(s >= 0.8 for s in caching_speedups.values())

@@ -21,7 +21,6 @@ import numpy as np
 from repro.bandit.tangent import tangent_lower_bound
 from repro.exceptions import BudgetError, DataValidationError
 from repro.knn.progressive import ProgressiveOneNN
-from repro.rng import SeedLike, ensure_rng
 from repro.transforms.base import FeatureTransform, fit_on
 from repro.transforms.store import EmbeddingStore, embed_or_transform
 
@@ -48,13 +47,9 @@ class TransformationArm:
         ("float32"/"float64"; ``None`` keeps the strict float64 path).
         Pair a float32 arm with a float32 store so cached chunks feed
         the evaluator without a widening round-trip.
-    seed:
-        Optional per-arm RNG stream, exposed as :attr:`rng` (see
-        :func:`repro.core.engine.spawn_arm_streams`).  The current pull
-        path is fully deterministic and draws nothing; any future
-        stochastic arm step must use this stream (never a shared
-        generator) so results stay independent of the execution
-        schedule.
+
+    Pulls draw no randomness: an arm's losses depend only on its pool
+    order and its own state.
     """
 
     def __init__(
@@ -67,7 +62,6 @@ class TransformationArm:
         metric: str = "euclidean",
         store: EmbeddingStore | None = None,
         dtype=None,
-        seed: SeedLike = None,
     ):
         if not transform.fitted:
             raise DataValidationError(
@@ -76,7 +70,6 @@ class TransformationArm:
         self.transform = transform
         self.store = store
         self.dtype = dtype
-        self.rng = None if seed is None else ensure_rng(seed)
         self._train_x = np.asarray(train_x, dtype=np.float64)
         self._train_y = np.asarray(train_y, dtype=np.int64)
         if len(self._train_x) == 0:
@@ -107,10 +100,6 @@ class TransformationArm:
     def current_loss(self) -> float:
         """Latest 1NN error; infinity before the first pull."""
         return self.losses[-1] if self.losses else np.inf
-
-    @property
-    def train_pool_size(self) -> int:
-        return len(self._train_x)
 
     @property
     def train_labels(self) -> np.ndarray:
@@ -201,19 +190,17 @@ class TransformationArm:
 def build_arms(
     transforms,
     dataset,
+    order: np.ndarray,
     metric: str = "euclidean",
-    rng: SeedLike = None,
     store: EmbeddingStore | None = None,
     dtype=None,
 ) -> list[TransformationArm]:
-    """Fit each transform on the training split and wrap it in an arm.
+    """Fit each unfitted transform on the permuted pool; wrap each in an arm.
 
-    The training pool is shuffled once and shared (in the same order)
-    across arms so that all arms see identical sample sequences —
-    removing sampling noise from the arm comparison.
+    ``order`` permutes the training split once, and every arm shares the
+    permuted pool, so all arms see identical sample sequences — removing
+    sampling noise from the arm comparison.
     """
-    rng = ensure_rng(rng)
-    order = rng.permutation(dataset.num_train)
     train_x = dataset.train_x[order]
     train_y = dataset.train_y[order]
     arms = []

@@ -23,7 +23,7 @@ from repro.core.drift import (
     PageHinkleyDetector,
     SlidingWindowBER,
 )
-from repro.core.engine import RoundScheduler, spawn_arm_streams
+from repro.core.engine import RoundScheduler
 from repro.core.guidance import (
     ExtrapolationResult,
     LogLinearFit,
@@ -59,7 +59,6 @@ __all__ = [
     "SnoopyConfig",
     "TransformResult",
     "aggregate_min",
-    "spawn_arm_streams",
     "condition_8_holds",
     "condition_9_holds",
     "estimate_regime_quantities",

@@ -9,10 +9,7 @@ independent per-arm pull plans, either in a loop or on a thread pool,
 and keeps results bit-exact across the two:
 
 - each arm's pull sequence depends only on its own state and the round
-  target, never on sibling progress — pulls are fully deterministic
-  today, and any future stochastic step must draw from the arm's own
-  pre-spawned stream (:func:`spawn_arm_streams`) so the guarantee
-  survives by construction;
+  target, never on sibling progress, and draws no randomness;
 - results are returned in the caller-supplied arm order, so sorting,
   tie-breaking and winner selection see the same sequence regardless of
   completion order.
@@ -37,10 +34,7 @@ import os
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 
-import numpy as np
-
 from repro.exceptions import DataValidationError
-from repro.rng import SeedLike
 
 #: Accepted values of ``SnoopyConfig.execution_backend``.
 EXECUTION_BACKENDS = ("serial", "thread")
@@ -118,26 +112,3 @@ class RoundScheduler:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-def spawn_arm_streams(seed: SeedLike, count: int) -> list[np.random.Generator]:
-    """Independent per-arm RNG streams, fixed regardless of schedule.
-
-    Streams are spawned from one :class:`numpy.random.SeedSequence` up
-    front and handed to the arms as their designated randomness source.
-    Nothing in the current pull path consumes randomness — results are
-    deterministic outright — but any future stochastic arm step must
-    draw from its own stream (never a shared generator), so an arm sees
-    identical draws whether pulls run serially or on threads.
-    """
-    if count < 0:
-        raise DataValidationError(f"count must be non-negative, got {count}")
-    if isinstance(seed, np.random.SeedSequence):
-        root = seed
-    elif isinstance(seed, np.random.Generator):
-        root = np.random.SeedSequence(
-            int(seed.integers(0, 2**63 - 1))
-        )
-    else:
-        root = np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in root.spawn(count)]

@@ -31,15 +31,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.bandit.arms import TransformationArm
+from repro.bandit.arms import TransformationArm, build_arms
 from repro.bandit.successive_halving import SelectionResult, successive_halving
 from repro.bandit.uniform import uniform_allocation
 from repro.core.aggregation import aggregate_min
-from repro.core.engine import (
-    EXECUTION_BACKENDS,
-    RoundScheduler,
-    spawn_arm_streams,
-)
+from repro.core.engine import EXECUTION_BACKENDS, RoundScheduler
 from repro.core.guidance import ExtrapolationResult, extrapolate_samples_needed
 from repro.core.incremental import IncrementalState
 from repro.core.result import (
@@ -55,7 +51,6 @@ from repro.exceptions import ConvergenceError, DataValidationError
 from repro.knn.incremental import NeighborCache
 from repro.knn.kernels import DEFAULT_COMPUTE_DTYPE, resolve_dtype
 from repro.rng import ensure_rng
-from repro.transforms.base import fit_on
 from repro.transforms.store import DEFAULT_CACHE_BYTES, EmbeddingStore
 
 STRATEGIES = (
@@ -71,15 +66,18 @@ STRATEGIES = (
 class SnoopyConfig:
     """Tunable behaviour of a Snoopy run.
 
+    The sample budget of the budgeted strategies is
+    ``num_train * ceil(log2(num_arms))``, so the winning arm can reach
+    the full training pool.  After selection the winner is always fed
+    the rest of the pool, and the report carries the Eq. 10
+    samples-to-target extrapolation whenever the winner's curve allows
+    one.
+
     Attributes
     ----------
     strategy:
         Allocation strategy; "successive_halving_tangent" is the paper's
         best-performing configuration and the default.
-    budget:
-        Total samples that may be embedded across all arms; ``None``
-        chooses ``num_train * ceil(log2(num_arms))`` so the winning arm
-        can reach the full training pool.
     pull_size:
         Samples per pull (the batch-size hyper-parameter of Section V);
         ``None`` uses 5% of the training pool.
@@ -89,10 +87,6 @@ class SnoopyConfig:
         (following the paper's per-modality convention).  Every arm
         streams the exact 1NN error through
         :class:`~repro.knn.progressive.ProgressiveOneNN`.
-    top_up_winner:
-        After selection, feed the winner the rest of the training pool.
-    extrapolate:
-        Attach the Eq. 10 samples-to-target extrapolation to the report.
     perfect_arm_name:
         Required when ``strategy == "perfect"``: evaluate only this arm
         (the oracle lower-bound strategy of Figure 12).
@@ -111,13 +105,13 @@ class SnoopyConfig:
         embedding memoization.
     store_dir:
         Spill/persistence directory for the :class:`EmbeddingStore`.
-        When set, every cached block is also written to a
-        content-addressed, digest-verified file there: evictions move
-        blocks to disk instead of discarding them (corpora larger than
-        the hot budget stream through), and a later run — or another
-        tenant — pointed at the same directory warm-starts with zero
-        transform calls.  ``None`` (default) keeps the cache
-        memory-only.
+        When set, every computed block is also written to a
+        content-addressed, digest-verified file there, so an evicted
+        block promotes back from disk instead of being recomputed
+        (corpora larger than the hot budget stream through), and a
+        later run — or another tenant — pointed at the same directory
+        warm-starts with zero transform calls.  ``None`` (default)
+        keeps the cache memory-only.
     store_spill_bytes:
         Byte budget of the spill tier (default 1 GiB); the
         least-recently-used block files are pruned beyond it.
@@ -134,11 +128,8 @@ class SnoopyConfig:
     """
 
     strategy: str = "successive_halving_tangent"
-    budget: int | None = None
     pull_size: int | None = None
     metric: str = "auto"
-    top_up_winner: bool = True
-    extrapolate: bool = True
     perfect_arm_name: str | None = None
     seed: int | None = 0
     execution_backend: str = "serial"
@@ -355,7 +346,14 @@ class Snoopy:
         ctx.metric = self._resolve_metric(dataset)
         rng = ensure_rng(config.seed)
         ctx.order = rng.permutation(dataset.num_train)
-        ctx.arms = self._build_arms(dataset, ctx.order, ctx.metric)
+        ctx.arms = build_arms(
+            self.catalog,
+            dataset,
+            ctx.order,
+            metric=ctx.metric,
+            store=self.store,
+            dtype=config.compute_dtype,
+        )
         ctx.scheduler = RoundScheduler(
             config.execution_backend, config.max_workers
         )
@@ -365,32 +363,6 @@ class Snoopy:
         if self.config.metric != "auto":
             return self.config.metric
         return "cosine" if dataset.modality == "text" else "euclidean"
-
-    def _build_arms(
-        self, dataset, order: np.ndarray, metric: str
-    ) -> list[TransformationArm]:
-        # Build arms directly over the permuted pool (shared by all arms).
-        train_x = dataset.train_x[order]
-        train_y = dataset.train_y[order]
-        streams = spawn_arm_streams(self.config.seed, len(self.catalog))
-        arms = []
-        for transform, stream in zip(self.catalog, streams):
-            if not transform.fitted:
-                fit_on(transform, train_x, train_y)
-            arms.append(
-                TransformationArm(
-                    transform,
-                    train_x,
-                    train_y,
-                    dataset.test_x,
-                    dataset.test_y,
-                    metric=metric,
-                    store=self.store,
-                    dtype=self.config.compute_dtype,
-                    seed=stream,
-                )
-            )
-        return arms
 
     # ------------------------------------------------------------------
     # Phase 2: allocate — spend the sample budget across arms
@@ -403,7 +375,7 @@ class Snoopy:
         num_train = ctx.dataset.num_train
         pull_size = ctx.pull_size
         rounds = max(1, int(np.ceil(np.log2(len(arms)))))
-        budget = config.budget or num_train * rounds
+        budget = num_train * rounds
         if config.strategy == "full":
             scheduler.exhaust(arms, pull_size)
             winner = min(arms, key=lambda arm: arm.current_loss)
@@ -443,7 +415,7 @@ class Snoopy:
                 use_tangent=config.strategy == "successive_halving_tangent",
                 scheduler=scheduler,
             )
-        if config.top_up_winner and not ctx.selection.winner.exhausted:
+        if not ctx.selection.winner.exhausted:
             ctx.selection.winner.exhaust()
 
     # ------------------------------------------------------------------
@@ -526,12 +498,11 @@ class Snoopy:
             signal_confident=signal_confident,
         )
 
+    @staticmethod
     def _extrapolate(
-        self, curve: ConvergenceCurve | None, target_error: float
+        curve: ConvergenceCurve | None, target_error: float
     ) -> ExtrapolationResult | None:
-        if not self.config.extrapolate or curve is None:
-            return None
-        if not 0.0 < target_error < 1.0:
+        if curve is None or not 0.0 < target_error < 1.0:
             return None
         try:
             return extrapolate_samples_needed(

@@ -15,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import DataValidationError
-from repro.knn.progressive import ProgressiveOneNN
 
 
 class NeighborCache:
@@ -51,17 +50,6 @@ class NeighborCache:
         self._nn_indices = nn_indices
         self._train_labels = train_labels
         self._test_labels = test_labels
-
-    @classmethod
-    def from_progressive(
-        cls, evaluator: ProgressiveOneNN, train_labels: np.ndarray
-    ) -> "NeighborCache":
-        """Build a cache from a fully-fed :class:`ProgressiveOneNN`."""
-        return cls(
-            evaluator.nearest_indices,
-            train_labels,
-            evaluator.test_labels,
-        )
 
     @property
     def test_size(self) -> int:
@@ -101,7 +89,3 @@ class NeighborCache:
         ):
             raise DataValidationError("test index out of range")
         self._test_labels[indices] = new_labels
-
-    def snapshot_labels(self) -> tuple[np.ndarray, np.ndarray]:
-        """Return copies of the current (train_labels, test_labels)."""
-        return self._train_labels.copy(), self._test_labels.copy()

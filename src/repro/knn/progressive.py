@@ -52,9 +52,6 @@ class ProgressiveOneNN:
         The fixed test set (features and integer labels).
     metric:
         Distance metric, "euclidean" or "cosine".
-    record_curve:
-        When True (default), every :meth:`partial_fit` appends a
-        :class:`CurvePoint` to :attr:`curve`.
     dtype:
         Compute dtype for the distance arithmetic ("float32" or
         "float64"); ``None`` (default) keeps the strict ``float64``
@@ -66,11 +63,10 @@ class ProgressiveOneNN:
         test_x: np.ndarray,
         test_y: np.ndarray,
         metric: str = "euclidean",
-        record_curve: bool = True,
         dtype=None,
     ):
-        # np.array (not asarray): the evaluator owns private copies, so
-        # relabel_test can never write through to the caller's arrays.
+        # np.array (not asarray): the evaluator owns private copies, so a
+        # caller mutating its arrays later cannot change the errors.
         # (A float32 kernel also copies on cast; float64 relies on this.)
         test_x = np.array(test_x, dtype=np.float64)
         test_y = np.array(test_y, dtype=np.int64)
@@ -83,7 +79,6 @@ class ProgressiveOneNN:
         if len(test_x) == 0:
             raise DataValidationError("test set must not be empty")
         self.metric = metric
-        self.record_curve = record_curve
         self.dtype = dtype
         self._kernel = make_kernel(metric, test_x, dtype=dtype)
         self._test_x = self._kernel.bound
@@ -147,8 +142,7 @@ class ProgressiveOneNN:
             self._nn_index[improved] = winners + self._train_seen
             self._train_seen += len(batch_x)
         err = self.error()
-        if self.record_curve:
-            self.curve.append(CurvePoint(self._train_seen, err))
+        self.curve.append(CurvePoint(self._train_seen, err))
         return err
 
     def error(self) -> float:
@@ -156,58 +150,6 @@ class ProgressiveOneNN:
         if self._train_seen == 0:
             raise DataValidationError("no training data ingested yet")
         return float(np.mean(self._nn_label != self._test_y))
-
-    def relabel_train(self, indices: np.ndarray, new_labels: np.ndarray) -> None:
-        """Apply train-label corrections without recomputing any distance.
-
-        Cleaning a label does not move any point in feature space, so the
-        nearest-neighbor structure is unchanged (Section V of the paper);
-        only cached labels for affected neighbors must be rewritten.
-        Fully vectorized: affected test points are found with ``np.isin``
-        over the cached neighbor indices and remapped through a sorted
-        lookup (duplicate corrections keep the last occurrence, matching
-        the historical dict-remap semantics).
-
-        Indices are global train positions and must be non-negative.
-        Indices at or past :attr:`train_seen` are a no-op: those rows
-        are not ingested yet, and their labels arrive with their batch.
-        """
-        indices = np.asarray(indices, dtype=np.int64)
-        new_labels = np.asarray(new_labels, dtype=np.int64)
-        if len(indices) != len(new_labels):
-            raise DataValidationError("indices and new_labels length mismatch")
-        if len(indices) == 0:
-            return
-        if indices.min() < 0:
-            raise DataValidationError("train index out of range: negative")
-        order = np.argsort(indices, kind="stable")
-        sorted_idx = indices[order]
-        sorted_labels = new_labels[order]
-        affected = np.isin(self._nn_index, sorted_idx)
-        if not affected.any():
-            return
-        # side="right" - 1: among duplicate corrections of one train
-        # index, the last one given wins (dict-remap behavior).
-        positions = (
-            np.searchsorted(sorted_idx, self._nn_index[affected], side="right")
-            - 1
-        )
-        self._nn_label[affected] = sorted_labels[positions]
-
-    def relabel_test(self, indices: np.ndarray, new_labels: np.ndarray) -> None:
-        """Apply test-label corrections (the ground truth used for the error).
-
-        Indices must lie in ``[0, test_size)``.
-        """
-        indices = np.asarray(indices, dtype=np.int64)
-        new_labels = np.asarray(new_labels, dtype=np.int64)
-        if len(indices) != len(new_labels):
-            raise DataValidationError("indices and new_labels length mismatch")
-        if len(indices) and (
-            indices.min() < 0 or indices.max() >= self.test_size
-        ):
-            raise DataValidationError("test index out of range")
-        self._test_y[indices] = new_labels
 
     def curve_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Return the recorded convergence curve as ``(sizes, errors)`` arrays."""

@@ -19,16 +19,16 @@ Design
   tokens are themselves content-derived (a digest of the transform's
   pickled, fitted state), so the *same* transform rebuilt in another
   process — or another run — addresses the *same* blocks.
-- **Two tiers.**  The *hot* tier holds blocks as in-process arrays under
-  a byte-budgeted LRU.  The *spill* tier (``store_dir``) holds
-  content-addressed files: every cached block is written through to
-  disk, evicting from the hot tier therefore *moves* a block to disk
-  rather than discarding work, and a spill hit promotes the block back
-  into the hot tier.  The spill tier persists across processes and
-  across runs: a fresh store pointed at a warm ``store_dir`` serves
-  every block with **zero** transform calls.  Spill files carry a
-  payload digest; a corrupted or truncated file is detected on read,
-  deleted, and treated as a miss — never a crash.
+- **Two tiers.**  The *hot* tier maps block keys to in-process arrays
+  under a byte-budgeted LRU.  The *spill* tier (``store_dir``) holds
+  content-addressed files: every computed block is written through to
+  disk when it is inserted, so eviction only drops the in-memory copy,
+  and a spill hit promotes the block back into the hot tier.  The spill
+  tier persists across processes and across runs: a fresh store pointed
+  at a warm ``store_dir`` serves every block with **zero** transform
+  calls.  Spill files carry a payload digest that every promote
+  verifies; a corrupted or truncated file is deleted and treated as a
+  miss — never a crash.
 - **Byte-budgeted LRU, per tier.**  ``max_bytes`` bounds the hot tier,
   ``spill_bytes`` the spill tier (least-recently-used files are
   unlinked), so the store is safe to leave attached to a long-lived
@@ -38,19 +38,20 @@ Design
   so the ``thread`` execution backend embeds different arms
   concurrently.
 
-The store assumes a transform's fitted state is frozen once it has been
-used for embedding — re-fitting a transform on different data changes
-its output without changing the input bytes, so callers that re-fit
-must call :meth:`EmbeddingStore.invalidate` for that transform (which
-also re-derives its content token).
+A transform must not be re-fitted while a live store holds its blocks:
+re-fitting changes its output without changing the input bytes, and the
+store derives a transform's content token once, on first use.  Callers
+fit a transform before any store embeds through it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import pickle
+import re
 import threading
 import weakref
 from collections import OrderedDict
@@ -72,6 +73,8 @@ DEFAULT_BLOCK_ROWS = 256
 
 _SPILL_MAGIC = b"RPROSPL1"
 _SPILL_SUFFIX = ".blk"
+# Block files and the tmp files of in-flight or failed writes.
+_SPILL_FILE = re.compile(r".*\.blk(\.tmp\d+)?", re.DOTALL)
 
 
 def default_store_dir() -> str:
@@ -108,20 +111,6 @@ class StoreStats:
         return self.hits / self.lookups if self.lookups else 0.0
 
 
-class _HotBlock:
-    """One hot-tier entry: an array, and whether it is on disk too."""
-
-    __slots__ = ("array", "spilled")
-
-    def __init__(self, array, spilled=False):
-        self.array = array
-        self.spilled = spilled
-
-    @property
-    def nbytes(self) -> int:
-        return self.array.nbytes
-
-
 # ----------------------------------------------------------------------
 # Spill-tier file helpers (content-verified, atomically replaced)
 # ----------------------------------------------------------------------
@@ -141,63 +130,66 @@ def _write_spill(directory: str, file_id: str, array: np.ndarray) -> int:
     ).encode()
     path = _spill_path(directory, file_id)
     tmp = f"{path}.tmp{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(_SPILL_MAGIC)
-        fh.write(len(header).to_bytes(4, "little"))
-        fh.write(header)
-        fh.write(payload)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_SPILL_MAGIC)
+            fh.write(len(header).to_bytes(4, "little"))
+            fh.write(header)
+            fh.write(payload)
+        os.replace(tmp, path)
+    except OSError:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
     return 12 + len(header) + len(payload)
 
 
-def _read_spill(
-    directory: str, file_id: str, memmap: bool = False
-) -> np.ndarray | None:
+def _read_header(fh) -> tuple[np.dtype, tuple[int, ...], str]:
+    """Parse a block file's header: ``(dtype, shape, payload digest)``.
+
+    Anything malformed — magic, length, JSON, dtype or shape — raises
+    ``ValueError``; I/O failures propagate as ``OSError``.
+    """
+    if fh.read(8) != _SPILL_MAGIC:
+        raise ValueError("bad magic")
+    length = int.from_bytes(fh.read(4), "little")
+    try:
+        meta = json.loads(fh.read(length))
+        dtype = np.dtype(meta["dtype"])
+        shape = tuple(meta["shape"])
+        digest = meta["digest"]
+    except (KeyError, TypeError) as error:
+        raise ValueError(f"malformed header: {error!r}") from None
+    if not all(type(dim) is int and dim >= 0 for dim in shape):
+        raise ValueError(f"malformed shape {shape!r}")
+    return dtype, shape, digest
+
+
+def _read_spill(directory: str, file_id: str) -> np.ndarray | None:
     """Read + verify one spill file; corrupt/truncated files are removed.
 
     The digest check requires touching every payload byte once — the
     price of guaranteeing a torn, truncated or bit-flipped file is
     reported as a miss (recompute) instead of serving garbage.
-
-    With ``memmap=True`` the payload is returned as a read-only
-    :class:`numpy.memmap` at the payload offset and the digest check is
-    skipped: the caller promises the same file was digest-verified on an
-    earlier read this session (spill files are replaced atomically, so
-    the bytes behind a given id are either the verified ones or a
-    complete newer write).  Mapped pages are file-backed — the OS shares
-    one physical copy across every process mapping the block and evicts
-    clean pages under pressure, so large blocks page in without doubling
-    RSS.
     """
     path = _spill_path(directory, file_id)
     try:
         with open(path, "rb") as fh:
-            if fh.read(8) != _SPILL_MAGIC:
-                raise ValueError("bad magic")
-            length = int.from_bytes(fh.read(4), "little")
-            meta = json.loads(fh.read(length))
-            dtype = np.dtype(meta["dtype"])
-            shape = tuple(meta["shape"])
-            if memmap and int(np.prod(shape)) > 0:
-                offset = 12 + length
-                expected = offset + int(np.prod(shape)) * dtype.itemsize
-                if os.fstat(fh.fileno()).st_size != expected:
-                    raise ValueError("truncated payload")
-                return np.memmap(
-                    path, dtype=dtype, mode="r", offset=offset, shape=shape
-                )
+            dtype, shape, digest = _read_header(fh)
             payload = fh.read()
-        if len(payload) != int(np.prod(shape)) * dtype.itemsize:
+        if len(payload) != math.prod(shape) * dtype.itemsize:
             raise ValueError("truncated payload")
         actual = hashlib.blake2b(payload, digest_size=16).hexdigest()
-        if actual != meta["digest"]:
+        if actual != digest:
             raise ValueError("payload digest mismatch")
         array = np.frombuffer(payload, dtype=dtype).reshape(shape)
         array.setflags(write=False)
         return array
     except FileNotFoundError:
         return None
-    except (ValueError, KeyError, TypeError, OSError):
+    except (OSError, ValueError):
         try:
             os.unlink(path)
         except OSError:
@@ -209,7 +201,8 @@ def scan_spill_dir(directory: str) -> list[dict]:
     """Describe every block file in a spill dir (CLI ``repro store stats``).
 
     Returns one dict per file: ``{"file", "bytes", "dtype", "shape"}``;
-    unreadable headers yield ``dtype="?"``.
+    unreadable headers yield ``dtype="?"`` and ``shape="?"``, and a file
+    removed since the directory listing is skipped.
     """
     entries = []
     try:
@@ -220,29 +213,30 @@ def scan_spill_dir(directory: str) -> list[dict]:
         if not name.endswith(_SPILL_SUFFIX):
             continue
         path = os.path.join(directory, name)
-        entry = {
-            "file": name,
-            "bytes": os.path.getsize(path),
-            "dtype": "?",
-            "shape": "?",
-        }
+        try:
+            size = os.path.getsize(path)
+        except OSError:
+            continue  # a concurrent clear or spill-LRU unlink removed it
+        dtype = shape = "?"
         try:
             with open(path, "rb") as fh:
-                if fh.read(8) == _SPILL_MAGIC:
-                    length = int.from_bytes(fh.read(4), "little")
-                    meta = json.loads(fh.read(length))
-                    entry["dtype"] = str(np.dtype(meta["dtype"]))
-                    entry["shape"] = "x".join(
-                        str(d) for d in meta["shape"]
-                    )
-        except (OSError, ValueError, KeyError):
+                block_dtype, block_shape, _ = _read_header(fh)
+            dtype = str(block_dtype)
+            shape = "x".join(str(dim) for dim in block_shape)
+        except (OSError, ValueError):
             pass
-        entries.append(entry)
+        entries.append(
+            {"file": name, "bytes": size, "dtype": dtype, "shape": shape}
+        )
     return entries
 
 
 def clear_spill_dir(directory: str) -> tuple[int, int]:
-    """Delete every block (and stray tmp) file; returns (files, bytes)."""
+    """Delete every block (and stray tmp) file; returns (files, bytes).
+
+    Only ``*.blk`` and ``*.blk.tmp<pid>`` names are touched; any other
+    file in the directory is left alone.
+    """
     files = 0
     reclaimed = 0
     try:
@@ -250,7 +244,7 @@ def clear_spill_dir(directory: str) -> tuple[int, int]:
     except FileNotFoundError:
         return 0, 0
     for name in names:
-        if _SPILL_SUFFIX not in name:
+        if not _SPILL_FILE.fullmatch(name):
             continue
         path = os.path.join(directory, name)
         try:
@@ -269,8 +263,8 @@ class EmbeddingStore:
     Parameters
     ----------
     max_bytes:
-        Hot-tier byte budget; least-recently-used blocks are evicted
-        (to the spill tier when one is configured) once exceeded.
+        Hot-tier byte budget; least-recently-used blocks are dropped
+        once exceeded (a spill tier already holds its own copy).
     block_rows:
         Rows per cached block.  Requests covering partial blocks embed
         the whole block once — rows a progressive consumer would need
@@ -284,7 +278,7 @@ class EmbeddingStore:
         (the dtype is folded into the transform token instead, keeping
         float32 and float64 spill files apart).
     store_dir:
-        Spill-tier directory.  When set, every cached block is written
+        Spill-tier directory.  When set, every computed block is written
         through to a content-addressed, digest-verified file, giving
         (a) persistence across runs and processes (a fresh store on a
         warm dir re-embeds nothing) and (b) an overflow tier for
@@ -322,8 +316,8 @@ class EmbeddingStore:
         )
         self._block_dtype = resolve_dtype(dtype)
         self._lock = threading.RLock()
-        # (transform token, block digest) -> _HotBlock (LRU, budgeted).
-        self._blocks: "OrderedDict[tuple, _HotBlock]" = OrderedDict()
+        # (transform token, block digest) -> array (LRU, budgeted).
+        self._blocks: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
         self._bytes = 0
         self._hits = 0
         self._misses = 0
@@ -339,15 +333,10 @@ class EmbeddingStore:
         self._tokens: dict[int, str] = {}
         self._token_refs: dict[int, weakref.ref] = {}
         self._token_counter = 0
-        # Spill files written this session, by token (for invalidate).
-        self._token_spills: dict[str, set[str]] = {}
         # Per-source-array digest cache: id(source) -> {block -> digest},
         # held weakly so a collected source releases its cache.
         self._digests: dict[int, dict[int, bytes]] = {}
         self._digest_refs: dict[int, weakref.ref] = {}
-        # Spill files promoted at least once this session: their payload
-        # digest has been verified, so later promotes may memmap.
-        self._spill_promoted: set[str] = set()
         # Spill index: file id -> bytes on disk (LRU by access).
         self.store_dir: str | None = None
         self._spill_index: "OrderedDict[str, int]" = OrderedDict()
@@ -454,48 +443,18 @@ class EmbeddingStore:
             return parts[0]
         return np.concatenate(parts, axis=0)
 
-    def invalidate(self, transform) -> int:
-        """Drop every cached block of ``transform`` (after a re-fit).
+    def close(self) -> None:
+        """Drop all hot blocks and digest caches; idempotent.
 
-        Also forgets the transform's content token, so the next embed
-        re-derives it from the *new* fitted state, and unlinks the
-        spill files written for the old state this session.  Returns
-        the number of hot blocks dropped.
-        """
-        with self._lock:
-            identity = id(transform)
-            token = self._tokens.pop(identity, None)
-            self._token_refs.pop(identity, None)
-            if token is None:
-                return 0
-            dropped = self._drop_hot(token)
-            for file_id in self._token_spills.pop(token, ()):  # this session
-                size = self._spill_index.pop(file_id, None)
-                if size is not None:
-                    self._spill_used -= size
-                if self.store_dir is not None:
-                    try:
-                        os.unlink(_spill_path(self.store_dir, file_id))
-                    except OSError:
-                        pass
-            return dropped
-
-    def clear(self) -> None:
-        """Drop all hot blocks and digest caches (counters are kept).
-
-        The spill tier is left in place — it is the persistence medium;
-        use :func:`clear_spill_dir` (CLI: ``repro store clear``) to
-        prune it.
+        Counters are kept.  The spill tier is left in place — it is the
+        persistence medium; use :func:`clear_spill_dir` (CLI: ``repro
+        store clear``) to prune it.
         """
         with self._lock:
             self._blocks.clear()
             self._bytes = 0
             self._digests.clear()
             self._digest_refs.clear()
-
-    def close(self) -> None:
-        """Drop the hot tier (see :meth:`clear`); idempotent."""
-        self.clear()
 
     def __enter__(self) -> "EmbeddingStore":
         return self
@@ -537,58 +496,44 @@ class EmbeddingStore:
 
     def _lookup_hot(self, key) -> np.ndarray | None:
         """Hot-tier lookup (lock held); counts nothing."""
-        entry = self._blocks.get(key)
-        if entry is None:
-            return None
-        self._blocks.move_to_end(key)
-        return entry.array
+        array = self._blocks.get(key)
+        if array is not None:
+            self._blocks.move_to_end(key)
+        return array
 
     def _insert_hot(
         self, key, array: np.ndarray, spilled: bool = False
     ) -> np.ndarray:
-        """Insert one block (lock held); returns the canonical array."""
+        """Insert one block (lock held); returns the canonical array.
+
+        A computed block (``spilled=False``) is written through to the
+        spill tier here, so eviction only ever drops.
+        """
         existing = self._blocks.get(key)
         if existing is not None:
             self._blocks.move_to_end(key)
-            return existing.array
-        entry = _HotBlock(array, spilled)
-        self._blocks[key] = entry
-        self._bytes += entry.nbytes
-        if self.store_dir is not None and not entry.spilled:
-            self._write_through(key, entry)
-        self._evict_over_budget()
-        return entry.array
-
-    def _drop_hot(self, token: str) -> int:
-        """Drop every hot block of ``token`` (lock held); returns count."""
-        stale = [key for key in self._blocks if key[0] == token]
-        for key in stale:
-            self._bytes -= self._blocks.pop(key).nbytes
-        return len(stale)
-
-    def _evict_over_budget(self) -> None:
+            return existing
+        self._blocks[key] = array
+        self._bytes += array.nbytes
+        if self.store_dir is not None and not spilled:
+            self._write_through(key, array)
         while self._bytes > self.max_bytes and self._blocks:
-            key, entry = self._blocks.popitem(last=False)
-            self._bytes -= entry.nbytes
+            _, evicted = self._blocks.popitem(last=False)
+            self._bytes -= evicted.nbytes
             self._evictions += 1
-            if self.store_dir is not None and not entry.spilled:
-                # Move to the spill tier, don't discard the work.
-                self._write_through(key, entry)
+        return array
 
-    def _write_through(self, key, entry: _HotBlock) -> None:
-        """Persist one hot block to the spill tier (lock held)."""
+    def _write_through(self, key, array: np.ndarray) -> None:
+        """Persist one block to the spill tier (lock held)."""
         file_id = self._block_id(key)
         if file_id in self._spill_index:
             self._spill_index.move_to_end(file_id)
-            entry.spilled = True
             return
         try:
-            size = _write_spill(self.store_dir, file_id, entry.array)
+            size = _write_spill(self.store_dir, file_id, array)
         except OSError:
             return
-        entry.spilled = True
         self._spill_writes += 1
-        self._token_spills.setdefault(key[0], set()).add(file_id)
         self._spill_insert(file_id, size)
 
     def _spill_insert(self, file_id: str, size: int) -> None:
@@ -606,33 +551,17 @@ class EmbeddingStore:
                 pass
 
     def _load_spilled(self, key) -> np.ndarray | None:
-        """Read one block from the spill tier.
-
-        A block's *first* promote this session copies and digest-verifies
-        the payload; blocks hotter than one promote come back as
-        read-only memmaps instead — no second verification pass and no
-        second RSS copy.
-        """
-        if self.store_dir is None:
-            return None
+        """Read and digest-verify one block from the spill tier."""
         file_id = self._block_id(key)
-        with self._lock:
-            verified = file_id in self._spill_promoted
-        array = _read_spill(self.store_dir, file_id, memmap=verified)
-        if array is None and verified:
-            # Memmap open failed (file evicted/replaced mid-read): fall
-            # back to the verifying copy path before declaring a miss.
-            array = _read_spill(self.store_dir, file_id)
+        array = _read_spill(self.store_dir, file_id)
         with self._lock:
             if array is None:
-                self._spill_promoted.discard(file_id)
                 # Possibly corrupt-and-removed: drop a stale index entry.
                 size = self._spill_index.pop(file_id, None)
                 if size is not None:
                     self._spill_used -= size
                 return None
             self._spill_hits += 1
-            self._spill_promoted.add(file_id)
             if file_id in self._spill_index:
                 self._spill_index.move_to_end(file_id)
             else:
@@ -730,7 +659,9 @@ class EmbeddingStore:
             # may still be using these blocks; only purge when this was
             # the token's last holder.
             if token not in self._tokens.values():
-                self._drop_hot(token)
+                stale = [key for key in self._blocks if key[0] == token]
+                for key in stale:
+                    self._bytes -= self._blocks.pop(key).nbytes
 
     def _drop_digests(self, key: int) -> None:
         """Weakref purge: a source array died; release its digest cache."""

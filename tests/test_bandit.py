@@ -12,9 +12,13 @@ from repro.exceptions import BudgetError, ConvergenceError, DataValidationError
 from repro.knn.brute_force import BruteForceKNN
 
 
+def _order(dataset, seed):
+    return np.random.default_rng(seed).permutation(dataset.num_train)
+
+
 @pytest.fixture()
 def arms(dataset, catalog):
-    return build_arms(catalog, dataset, rng=0)
+    return build_arms(catalog, dataset, _order(dataset, 0))
 
 
 class TestTangent:
@@ -91,7 +95,7 @@ class TestArms:
         assert arms[0].current_loss == np.inf
 
     def test_build_arms_shares_sample_order(self, dataset, catalog):
-        arms = build_arms(catalog, dataset, rng=3)
+        arms = build_arms(catalog, dataset, _order(dataset, 3))
         for arm in arms:
             arm.pull(100)
         # All arms consumed the same first 100 (shuffled) samples, so
@@ -131,16 +135,16 @@ class TestSuccessiveHalving:
 
 class TestTangentVariant:
     def test_same_winner_as_plain_sh(self, dataset, catalog):
-        plain_arms = build_arms(catalog, dataset, rng=0)
-        tangent_arms = build_arms(catalog, dataset, rng=0)
+        plain_arms = build_arms(catalog, dataset, _order(dataset, 0))
+        tangent_arms = build_arms(catalog, dataset, _order(dataset, 0))
         budget = 3 * dataset.num_train
         plain = successive_halving(plain_arms, budget, use_tangent=False)
         tangent = successive_halving(tangent_arms, budget, use_tangent=True)
         assert plain.winner_name == tangent.winner_name
 
     def test_tangent_never_costs_more(self, dataset, catalog):
-        plain_arms = build_arms(catalog, dataset, rng=0)
-        tangent_arms = build_arms(catalog, dataset, rng=0)
+        plain_arms = build_arms(catalog, dataset, _order(dataset, 0))
+        tangent_arms = build_arms(catalog, dataset, _order(dataset, 0))
         budget = 3 * dataset.num_train
         plain = successive_halving(plain_arms, budget, use_tangent=False)
         tangent = successive_halving(tangent_arms, budget, use_tangent=True)
@@ -155,7 +159,7 @@ class TestTangentVariant:
 
 class TestUniform:
     def test_equal_allocation(self, dataset, catalog):
-        arms = build_arms(catalog, dataset, rng=0)
+        arms = build_arms(catalog, dataset, _order(dataset, 0))
         result = uniform_allocation(arms, budget=len(arms) * 200)
         assert set(result.samples_per_arm.values()) == {200}
 
@@ -166,7 +170,7 @@ class TestUniform:
 
 class TestDoubling:
     def test_winner_exhausts_pool(self, dataset, catalog):
-        arms = build_arms(catalog, dataset, rng=0)
+        arms = build_arms(catalog, dataset, _order(dataset, 0))
         result = doubling_successive_halving(arms, pull_size=64)
         assert result.winner.exhausted
         assert result.strategy.endswith("_doubling")

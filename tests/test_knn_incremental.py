@@ -6,7 +6,6 @@ import pytest
 from repro.exceptions import DataValidationError
 from repro.knn.brute_force import BruteForceKNN
 from repro.knn.incremental import NeighborCache
-from repro.knn.progressive import ProgressiveOneNN
 
 
 @pytest.fixture()
@@ -35,16 +34,6 @@ class TestConstruction:
         cache, _, train_y, _, test_y = setup
         assert cache.train_size == len(train_y)
         assert cache.test_size == len(test_y)
-
-    def test_from_progressive(self, rng):
-        train_x = rng.normal(size=(80, 3))
-        train_y = rng.integers(0, 2, size=80)
-        test_x = rng.normal(size=(20, 3))
-        test_y = rng.integers(0, 2, size=20)
-        evaluator = ProgressiveOneNN(test_x, test_y)
-        evaluator.partial_fit(train_x, train_y)
-        cache = NeighborCache.from_progressive(evaluator, train_y)
-        assert cache.error() == pytest.approx(evaluator.error())
 
 
 class TestErrorConsistency:
@@ -81,15 +70,6 @@ class TestErrorConsistency:
             cache.update_train_labels(np.array([10_000]), np.array([0]))
         with pytest.raises(DataValidationError):
             cache.update_test_labels(np.array([10_000]), np.array([0]))
-
-    def test_snapshot_returns_copies(self, setup):
-        cache, *_ = setup
-        train_labels, test_labels = cache.snapshot_labels()
-        train_labels[:] = -1
-        test_labels[:] = -1
-        fresh_train, fresh_test = cache.snapshot_labels()
-        assert fresh_train.min() >= 0
-        assert fresh_test.min() >= 0
 
     def test_empty_update_is_noop(self, setup):
         cache, *_ = setup

@@ -146,7 +146,8 @@ class TestSuccessiveHalvingBudget:
         ]
         for transform in transforms:
             transform.fit(dataset.train_x)
-        arms = build_arms(transforms, dataset, rng=seed)
+        order = np.random.default_rng(seed).permutation(dataset.num_train)
+        arms = build_arms(transforms, dataset, order)
         budget = budget_factor * dataset.num_train
         pull_size = 64
         result = successive_halving(arms, budget, pull_size=pull_size)

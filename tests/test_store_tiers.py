@@ -1,12 +1,16 @@
 """Tests for the EmbeddingStore's disk spill tier and lifecycle."""
 
+import json
 import os
 
 import numpy as np
 import pytest
 
+from repro.cli import main
+from repro.transforms import store as store_module
 from repro.transforms.linear import IdentityTransform, PCATransform
 from repro.transforms.store import (
+    _SPILL_MAGIC,
     _SPILL_SUFFIX,
     EmbeddingStore,
     _read_spill,
@@ -48,6 +52,20 @@ def _spill_files(directory):
     return sorted(
         name for name in os.listdir(directory)
         if name.endswith(_SPILL_SUFFIX)
+    )
+
+
+def _flip_payload_byte(path):
+    blob = bytearray(path.read_bytes())
+    blob[-1] ^= 0xFF
+    path.write_bytes(bytes(blob))
+
+
+def _write_raw_block(directory, file_id, meta):
+    """A payload-less block file with an arbitrary JSON header."""
+    header = json.dumps(meta).encode()
+    (directory / (file_id + _SPILL_SUFFIX)).write_bytes(
+        _SPILL_MAGIC + len(header).to_bytes(4, "little") + header
     )
 
 
@@ -170,6 +188,40 @@ class TestSpillTier:
             assert len(_spill_files(tmp_path)) <= 2
             assert store.stats.spill_current_bytes <= store.spill_bytes
 
+    def test_failed_write_through_leaves_no_tmp_files(
+        self, tmp_path, data, transform, monkeypatch
+    ):
+        def refuse(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(store_module.os, "replace", refuse)
+        with EmbeddingStore(
+            max_bytes=64 * 6 * 8, block_rows=64, store_dir=tmp_path
+        ) as store:
+            out = store.embed(transform, data[:128])
+            assert store.stats.spill_writes == 0
+        np.testing.assert_array_equal(out, data[:128])
+        assert os.listdir(tmp_path) == []
+
+    def test_corrupt_after_promote_is_a_miss(self, tmp_path, data):
+        source = data[:128]  # two 64-row blocks
+        with EmbeddingStore(block_rows=64, store_dir=tmp_path) as store:
+            store.embed(CountingTransform(6).fit(data), source)
+        transform = CountingTransform(6).fit(data)
+        with EmbeddingStore(
+            max_bytes=64 * 6 * 8, block_rows=64, store_dir=tmp_path
+        ) as store:
+            # Both blocks are promoted from disk; block 0 is evicted.
+            store.embed(transform, source)
+            assert store.stats.spill_hits == 2
+            assert store.stats.evictions == 1
+            for name in _spill_files(tmp_path):
+                _flip_payload_byte(tmp_path / name)
+            rows = store.embed_rows(transform, source, 0, 64)
+            assert store.stats.misses == 1
+        assert transform.calls == 1
+        np.testing.assert_array_equal(rows, source[:64])
+
     def test_corrupt_spill_block_recomputes(self, tmp_path, data, transform):
         with EmbeddingStore(block_rows=64, store_dir=tmp_path) as store:
             store.embed(transform, data)
@@ -183,15 +235,6 @@ class TestSpillTier:
             result = store.embed(fresh, data)
             assert fresh.calls > 0  # recomputed, never crashed
             np.testing.assert_array_equal(result, data)
-
-    def test_invalidate_removes_this_sessions_spill_files(
-        self, tmp_path, data, transform
-    ):
-        with EmbeddingStore(block_rows=64, store_dir=tmp_path) as store:
-            store.embed(transform, data)
-            assert len(_spill_files(tmp_path)) == 5
-            store.invalidate(transform)
-            assert len(_spill_files(tmp_path)) == 0
 
     def test_block_file_ids_are_stable_across_versions(self):
         # Spill file names are the persistence format: a spill dir
@@ -214,6 +257,35 @@ class TestScanAndClear:
     def test_scan_missing_dir_is_empty(self, tmp_path):
         assert scan_spill_dir(str(tmp_path / "nope")) == []
 
+    def test_malformed_header_lists_as_unknown_and_reads_as_miss(
+        self, tmp_path, capsys
+    ):
+        _write_raw_block(
+            tmp_path, "bad", {"dtype": 5, "shape": [2, 2], "digest": "0"}
+        )
+        _write_spill(str(tmp_path), "good", np.zeros((2, 3)))
+        entries = {e["file"]: e for e in scan_spill_dir(str(tmp_path))}
+        assert entries["bad.blk"]["dtype"] == "?"
+        assert entries["bad.blk"]["shape"] == "?"
+        assert entries["good.blk"]["shape"] == "2x3"
+        assert main(["store", "stats", "--store-dir", str(tmp_path)]) == 0
+        assert "bad.blk" in capsys.readouterr().out
+        assert _read_spill(str(tmp_path), "bad") is None
+        assert not (tmp_path / "bad.blk").exists()
+
+    def test_scan_skips_files_removed_since_listing(
+        self, tmp_path, monkeypatch
+    ):
+        _write_spill(str(tmp_path), "kept", np.zeros((2, 3)))
+        listdir = os.listdir
+        monkeypatch.setattr(
+            store_module.os, "listdir",
+            lambda path: listdir(path) + ["gone" + _SPILL_SUFFIX],
+        )
+        assert [e["file"] for e in scan_spill_dir(str(tmp_path))] == [
+            "kept" + _SPILL_SUFFIX
+        ]
+
     def test_clear_removes_files_and_reports_bytes(self, tmp_path):
         _write_spill(str(tmp_path), "a", np.zeros((8, 4)))
         _write_spill(str(tmp_path), "b", np.zeros((8, 4)))
@@ -221,6 +293,17 @@ class TestScanAndClear:
         assert files == 2
         assert reclaimed > 0
         assert _spill_files(tmp_path) == []
+
+    def test_clear_keeps_files_that_are_not_blocks(self, tmp_path):
+        _write_spill(str(tmp_path), "a", np.zeros((8, 4)))
+        (tmp_path / "a.blk.tmp4242").write_bytes(b"partial write")
+        unrelated = ["notes.blk.txt", "backup.blk.bak", "x.blkfoo",
+                     "y.blk.tmpx"]
+        for name in unrelated:
+            (tmp_path / name).write_bytes(b"keep me")
+        files, _ = clear_spill_dir(str(tmp_path))
+        assert files == 2
+        assert sorted(os.listdir(tmp_path)) == sorted(unrelated)
 
 
 class TestLifecycle:

@@ -151,28 +151,9 @@ class TestEvictionAndStats:
     def test_clear(self, data, transform):
         store = EmbeddingStore(block_rows=64)
         store.embed(transform, data)
-        store.clear()
+        store.close()
         assert len(store) == 0
         assert store.stats.current_bytes == 0
-
-    def test_invalidate_transform(self, data, transform):
-        store = EmbeddingStore(block_rows=64)
-        store.embed(transform, data)
-        other = CountingTransform(6, name="other").fit(data)
-        store.embed(other, data)
-        dropped = store.invalidate(transform)
-        assert dropped == 5
-        transform.calls = 0
-        store.embed(transform, data)
-        assert transform.calls > 0
-        # The other transform's blocks survived.
-        other.calls = 0
-        store.embed(other, data)
-        assert other.calls == 0
-
-    def test_invalidate_unknown_transform_is_noop(self, data, transform):
-        store = EmbeddingStore()
-        assert store.invalidate(transform) == 0
 
     def test_invalid_budget_raises(self):
         with pytest.raises(DataValidationError):
