@@ -5,7 +5,9 @@
 fallback.  The repo has no ``pyproject.toml`` and ``setup()`` gets no
 arguments: setuptools discovers the ``repro`` package under ``src/`` and
 names the distribution after it, at version 0.0.0.  No dependencies are
-declared; the runtime needs numpy and scipy (see README, Tests).
+declared: a default study needs only numpy, and scipy is needed only by
+the ``kde``, ``ghp`` and ``knn_extrapolation`` estimators and by Wilson
+bands at levels other than 95% (see README, Tests).
 """
 
 from setuptools import setup

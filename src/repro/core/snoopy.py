@@ -153,6 +153,10 @@ class SnoopyConfig:
                 f"unknown execution backend {self.execution_backend!r}; "
                 f"expected one of {EXECUTION_BACKENDS}"
             )
+        if self.pull_size is not None and self.pull_size < 1:
+            raise DataValidationError(
+                f"pull_size must be positive, got {self.pull_size}"
+            )
         if self.max_workers is not None and self.max_workers < 1:
             raise DataValidationError(
                 f"max_workers must be positive, got {self.max_workers}"
@@ -205,7 +209,9 @@ class RunContext:
 
     @property
     def pull_size(self) -> int:
-        return self.config.pull_size or max(16, self.dataset.num_train // 20)
+        if self.config.pull_size is None:
+            return max(16, self.dataset.num_train // 20)
+        return self.config.pull_size
 
 
 @dataclass
@@ -478,7 +484,9 @@ class Snoopy:
         # trust theme, quantified).
         low = best_estimate.details["confidence_low"]
         high = best_estimate.details["confidence_high"]
-        signal_confident = (low <= target_error) == (high <= target_error)
+        signal_confident = bool(
+            (low <= target_error) == (high <= target_error)
+        )
         extrapolation = self._extrapolate(
             ctx.curves.get(ctx.best_name), target_error
         )

@@ -20,6 +20,23 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.datasets.synthetic import TaskOracle
 
 
+def _int_labels(labels, what: str) -> np.ndarray:
+    """Cast labels to int64, refusing values the cast would change.
+
+    Integral floats such as ``1.0`` load; ``0.5`` or NaN would be
+    truncated (or turned into garbage) by the cast, so they raise.
+    """
+    labels = np.asarray(labels)
+    if labels.dtype.kind in "fc" and not (
+        np.isfinite(labels).all() and (labels == np.round(labels)).all()
+    ):
+        raise DataValidationError(
+            f"{what} labels must be integral class ids "
+            "(found non-integral or non-finite values)"
+        )
+    return labels.astype(np.int64, copy=False)
+
+
 @dataclass
 class Dataset:
     """Features, labels and task metadata for one classification task.
@@ -64,8 +81,8 @@ class Dataset:
     def __post_init__(self) -> None:
         self.train_x = np.asarray(self.train_x, dtype=np.float64)
         self.test_x = np.asarray(self.test_x, dtype=np.float64)
-        self.train_y = np.asarray(self.train_y, dtype=np.int64)
-        self.test_y = np.asarray(self.test_y, dtype=np.int64)
+        self.train_y = _int_labels(self.train_y, "train")
+        self.test_y = _int_labels(self.test_y, "test")
         if self.train_x.ndim != 2 or self.test_x.ndim != 2:
             raise DataValidationError("features must be 2-D matrices")
         if not np.isfinite(self.train_x).all() or not np.isfinite(
@@ -146,8 +163,8 @@ class Dataset:
         extras: dict[str, Any] | None = None,
     ) -> "Dataset":
         """Return a copy with corrupted labels and the clean ones retained."""
-        noisy_train_y = np.asarray(noisy_train_y, dtype=np.int64)
-        noisy_test_y = np.asarray(noisy_test_y, dtype=np.int64)
+        noisy_train_y = _int_labels(noisy_train_y, "noisy train")
+        noisy_test_y = _int_labels(noisy_test_y, "noisy test")
         if len(noisy_train_y) != self.num_train:
             raise DataValidationError("noisy_train_y length mismatch")
         if len(noisy_test_y) != self.num_test:

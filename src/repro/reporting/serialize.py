@@ -39,6 +39,7 @@ def report_to_dict(report: FeasibilityReport) -> dict[str, Any]:
         "dataset": report.dataset_name,
         "target_accuracy": report.target_accuracy,
         "signal": report.signal.value,
+        "signal_confident": report.signal_confident,
         "ber_estimate": report.ber_estimate,
         "best_accuracy": report.best_accuracy,
         "best_transform": report.best_transform,
@@ -52,6 +53,14 @@ def report_to_dict(report: FeasibilityReport) -> dict[str, Any]:
                 "samples_used": result.samples_used,
                 "one_nn_error": result.one_nn_error,
                 "estimate": result.estimate.value,
+                # The estimate's Wilson band; null on a hand-built
+                # report whose estimate carries none.
+                "confidence_low": result.estimate.details.get(
+                    "confidence_low"
+                ),
+                "confidence_high": result.estimate.details.get(
+                    "confidence_high"
+                ),
                 "sim_cost_seconds": result.sim_cost_seconds,
             }
             for result in report.per_transform

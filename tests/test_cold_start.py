@@ -3,10 +3,10 @@
 Each case runs in a fresh interpreter with ``src`` on its path, so
 ``sys.modules`` starts clean and only what the snippet itself pulls in
 is counted.  scipy is imported at the call sites that need it:
-``import repro`` loads none of it, a study loads ``scipy.special`` for
-its Wilson bands, and the feebee kNN estimators load none.  Execution
-is serial or threaded, so ``import repro`` loads no ``multiprocessing``
-either.
+``import repro`` loads none of it, and neither does a default study
+(its 95% Wilson bands read z from a constant), ``repro study`` or the
+feebee kNN estimators.  Execution is serial or threaded, so ``import
+repro`` loads no ``multiprocessing`` either.
 """
 
 import json
@@ -48,7 +48,7 @@ def test_import_loads_no_multiprocessing():
     assert _modules_after("import repro, repro.cli", "multiprocessing") == []
 
 
-def test_study_loads_no_stats_optimize_or_sparse():
+def test_default_study_loads_no_scipy():
     loaded = _modules_after("""
         from repro.core.snoopy import Snoopy, SnoopyConfig
         from repro.datasets import load
@@ -59,8 +59,17 @@ def test_study_loads_no_stats_optimize_or_sparse():
         with Snoopy(catalog, SnoopyConfig(seed=0)) as system:
             system.run(dataset, target_accuracy=0.9)
     """)
-    for heavy in ("scipy.stats", "scipy.optimize", "scipy.sparse"):
-        assert not [name for name in loaded if name.startswith(heavy)], heavy
+    assert loaded == []
+
+
+def test_study_cli_loads_no_scipy():
+    loaded = _modules_after("""
+        from repro.cli import main
+
+        argv = ["study", "cifar10", "--target", "0.9", "--scale", "0.01"]
+        assert main([*argv, "--json"]) == 0
+    """)
+    assert loaded == []
 
 
 def test_feebee_knn_estimators_load_no_scipy():

@@ -28,6 +28,13 @@ class TestConfig:
         with pytest.raises(DataValidationError):
             SnoopyConfig(strategy="perfect")
 
+    @pytest.mark.parametrize("pull_size", [0, -5])
+    def test_non_positive_pull_size_raises(self, pull_size):
+        # Rejected up front: 0 must not read as "use the default", and
+        # -5 must not wait to fail inside successive halving.
+        with pytest.raises(DataValidationError, match="pull_size"):
+            SnoopyConfig(pull_size=pull_size)
+
     def test_empty_catalog_raises(self):
         with pytest.raises(DataValidationError):
             Snoopy([])

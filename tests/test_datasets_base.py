@@ -50,6 +50,35 @@ class TestValidation:
                 rng.normal(size=(3, 2)), np.zeros(3, dtype=int), 2,
             )
 
+    @pytest.mark.parametrize("split", ["train_y", "test_y"])
+    @pytest.mark.parametrize(
+        "corrupt",
+        [lambda y: y + 0.5, lambda y: np.where(y == 0, np.nan, y),
+         lambda y: np.where(y == 0, np.inf, y)],
+        ids=["half", "nan", "inf"],
+    )
+    def test_non_integral_labels_raise(self, split, corrupt):
+        # A plain int64 cast would truncate these silently, and a study
+        # on the truncated labels would still report.
+        ds = _make()
+        fields = dict(
+            name="bad", train_x=ds.train_x, train_y=ds.train_y,
+            test_x=ds.test_x, test_y=ds.test_y, num_classes=3,
+        )
+        fields[split] = corrupt(fields[split].astype(np.float64))
+        with pytest.raises(DataValidationError, match="integral"):
+            Dataset(**fields)
+
+    def test_integral_float_labels_load(self):
+        ds = _make()
+        loaded = Dataset(
+            "floats", ds.train_x, ds.train_y.astype(np.float32),
+            ds.test_x, ds.test_y.astype(np.float64), 3,
+        )
+        assert loaded.train_y.dtype == loaded.test_y.dtype == np.int64
+        np.testing.assert_array_equal(loaded.train_y, ds.train_y)
+        np.testing.assert_array_equal(loaded.test_y, ds.test_y)
+
     def test_bad_modality_raises(self):
         rng = np.random.default_rng(0)
         with pytest.raises(DataValidationError, match="modality"):
@@ -87,6 +116,13 @@ class TestNoisyDerivation:
         ds = _make()
         with pytest.raises(DataValidationError):
             ds.with_noisy_labels(ds.train_y[:-1], ds.test_y)
+
+    def test_non_integral_noisy_labels_raise(self):
+        ds = _make()
+        with pytest.raises(DataValidationError, match="integral"):
+            ds.with_noisy_labels(ds.train_y + 0.5, ds.test_y)
+        with pytest.raises(DataValidationError, match="integral"):
+            ds.with_noisy_labels(ds.train_y, np.full(ds.num_test, np.nan))
 
     def test_extras_merged(self):
         ds = _make()

@@ -36,6 +36,17 @@ class TestReportSerialization:
         names = {entry["transform"] for entry in payload["per_transform"]}
         assert report.best_transform in names
 
+    def test_trust_signal_and_bands_match_the_report(self, report):
+        payload = json.loads(report_to_json(report))
+        assert payload["signal_confident"] is report.signal_confident
+        assert len(payload["per_transform"]) == len(report.per_transform)
+        rows = zip(payload["per_transform"], report.per_transform)
+        for entry, result in rows:
+            details = result.estimate.details
+            assert entry["transform"] == result.transform_name
+            assert entry["confidence_low"] == details["confidence_low"]
+            assert entry["confidence_high"] == details["confidence_high"]
+
     def test_curves_serialized_as_lists(self, report):
         payload = report_to_dict(report)
         curve = payload["curves"][report.best_transform]

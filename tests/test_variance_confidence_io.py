@@ -5,6 +5,7 @@ import pytest
 
 from repro.datasets.io import load_dataset, save_dataset
 from repro.estimators.confidence import (
+    _Z_95,
     ber_estimate_interval,
     wilson_interval,
 )
@@ -67,6 +68,13 @@ class TestWilsonInterval:
         interval = wilson_interval(error_rate, num_samples, confidence)
         assert interval.low == max(0.0, center - margin)
         assert interval.high == min(1.0, center + margin)
+
+    def test_default_z_is_the_scipy_quantile(self):
+        # The 95% band reads z from a constant so a study imports no
+        # scipy; it must be the very float scipy computes.
+        from scipy.special import ndtri
+
+        assert _Z_95 == float(ndtri(0.975)) == float(ndtri(0.5 + 0.95 / 2.0))
 
     def test_coverage_monte_carlo(self, rng):
         # ~95% of Wilson intervals over binomial draws cover the truth.
