@@ -22,7 +22,12 @@ from repro.bandit.tangent import tangent_lower_bound
 from repro.exceptions import BudgetError, DataValidationError
 from repro.knn.progressive import ProgressiveOneNN
 from repro.transforms.base import FeatureTransform, fit_on
-from repro.transforms.store import EmbeddingStore, embed_or_transform
+from repro.transforms.store import (
+    EmbeddingStore,
+    check_order,
+    embed_or_transform,
+    take_rows,
+)
 
 
 class TransformationArm:
@@ -33,7 +38,8 @@ class TransformationArm:
     transform:
         A *fitted* :class:`FeatureTransform`.
     train_x, train_y:
-        The full (pre-shuffled) training pool this arm may consume.
+        The training split this arm's pool is drawn from.  The arm
+        keeps references, not copies, and only reads them.
     test_x, test_y:
         Test split; embedded once, up front (test sets are small).
     metric:
@@ -47,6 +53,12 @@ class TransformationArm:
         ("float32"/"float64"; ``None`` keeps the strict float64 path).
         Pair a float32 arm with a float32 store so cached chunks feed
         the evaluator without a widening round-trip.
+    order:
+        Optional 1-D integer array: pool row ``i`` is
+        ``(train_x[order[i]], train_y[order[i]])``.  Each pull gathers
+        only its own rows (through the store, one block at a time), so
+        a permuted pool is never materialized.  ``None`` consumes the
+        split in its own order.
 
     Pulls draw no randomness: an arm's losses depend only on its pool
     order and its own state.
@@ -62,6 +74,7 @@ class TransformationArm:
         metric: str = "euclidean",
         store: EmbeddingStore | None = None,
         dtype=None,
+        order: np.ndarray | None = None,
     ):
         if not transform.fitted:
             raise DataValidationError(
@@ -72,7 +85,17 @@ class TransformationArm:
         self.dtype = dtype
         self._train_x = np.asarray(train_x, dtype=np.float64)
         self._train_y = np.asarray(train_y, dtype=np.int64)
-        if len(self._train_x) == 0:
+        if len(self._train_y) != len(self._train_x):
+            raise DataValidationError(
+                f"train_x and train_y length mismatch: "
+                f"{len(self._train_x)} vs {len(self._train_y)}"
+            )
+        self._order = None
+        self._pool_size = len(self._train_x)
+        if order is not None:
+            self._order = check_order(order, len(self._train_x))
+            self._pool_size = len(self._order)
+        if self._pool_size == 0:
             raise DataValidationError("arm needs a non-empty training pool")
         embedded_test = embed_or_transform(
             store, transform, np.asarray(test_x, dtype=np.float64)
@@ -94,7 +117,7 @@ class TransformationArm:
 
     @property
     def exhausted(self) -> bool:
-        return self.samples_used >= len(self._train_x)
+        return self.samples_used >= self._pool_size
 
     @property
     def current_loss(self) -> float:
@@ -103,8 +126,10 @@ class TransformationArm:
 
     @property
     def train_labels(self) -> np.ndarray:
-        """Labels of this arm's (pre-shuffled) training pool (copy)."""
-        return self._train_y.copy()
+        """Labels of this arm's training pool, in pool order (copy)."""
+        if self._order is None:
+            return self._train_y.copy()
+        return self._train_y[self._order]
 
     @property
     def test_labels(self) -> np.ndarray:
@@ -121,10 +146,12 @@ class TransformationArm:
         if num_samples < 0:
             raise BudgetError(f"num_samples must be >= 0, got {num_samples}")
         start = self.samples_used
-        stop = min(start + num_samples, len(self._train_x))
+        stop = min(start + num_samples, self._pool_size)
         if stop > start:
             chunk_x = self._embed_chunk(start, stop)
-            loss = self.evaluator.partial_fit(chunk_x, self._train_y[start:stop])
+            loss = self.evaluator.partial_fit(
+                chunk_x, take_rows(self._train_y, self._order, start, stop)
+            )
             self.sim_cost += self.transform.inference_cost(stop - start)
         else:
             loss = self.current_loss
@@ -182,9 +209,11 @@ class TransformationArm:
     def _embed_chunk(self, start: int, stop: int) -> np.ndarray:
         if self.store is not None:
             return self.store.embed_rows(
-                self.transform, self._train_x, start, stop
+                self.transform, self._train_x, start, stop, order=self._order
             )
-        return self.transform.transform(self._train_x[start:stop])
+        return self.transform.transform(
+            take_rows(self._train_x, self._order, start, stop)
+        )
 
 
 def build_arms(
@@ -197,26 +226,32 @@ def build_arms(
 ) -> list[TransformationArm]:
     """Fit each unfitted transform on the permuted pool; wrap each in an arm.
 
-    ``order`` permutes the training split once, and every arm shares the
-    permuted pool, so all arms see identical sample sequences — removing
-    sampling noise from the arm comparison.
+    ``order`` permutes the training split once, and every arm reads the
+    pool through it, so all arms see identical sample sequences —
+    removing sampling noise from the arm comparison.  The arms share
+    ``dataset.train_x``, ``dataset.train_y`` and ``order``; none holds a
+    permuted copy.  The permuted pool is gathered only if a transform
+    still needs fitting, once, and dropped before the arms are built.
     """
-    train_x = dataset.train_x[order]
-    train_y = dataset.train_y[order]
-    arms = []
+    transforms = list(transforms)
+    pool = None
     for transform in transforms:
         if not transform.fitted:
-            fit_on(transform, train_x, train_y)
-        arms.append(
-            TransformationArm(
-                transform,
-                train_x,
-                train_y,
-                dataset.test_x,
-                dataset.test_y,
-                metric=metric,
-                store=store,
-                dtype=dtype,
-            )
+            if pool is None:
+                pool = (dataset.train_x[order], dataset.train_y[order])
+            fit_on(transform, *pool)
+    del pool
+    return [
+        TransformationArm(
+            transform,
+            dataset.train_x,
+            dataset.train_y,
+            dataset.test_x,
+            dataset.test_y,
+            metric=metric,
+            store=store,
+            dtype=dtype,
+            order=order,
         )
-    return arms
+        for transform in transforms
+    ]

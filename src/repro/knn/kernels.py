@@ -327,10 +327,13 @@ class DistanceKernel(ABC):
 
         Blocked over query rows: ``block_size`` is an upper bound, and a
         block holds fewer rows when its GEMM product against the whole
-        corpus would pass :data:`_BLOCK_BYTES`.  Within a block the
-        winners are selected by :func:`_select`, then sorted by
-        comparable value, and only the winners are converted to true
-        distances.  Exact ties go to the earliest corpus row, the rule
+        corpus would pass :data:`_BLOCK_BYTES`.  Each block's queries are
+        prepared on their own (norms or unit rows, and the scaled GEMM
+        operand), so besides the outputs only a cast to the compute
+        dtype copies the whole query set.  Within a block the winners
+        are selected by :func:`_select`, then sorted by comparable
+        value, and only the winners are converted to true distances.
+        Exact ties go to the earliest corpus row, the rule
         :meth:`nearest_among` follows.  With ``exclude_self=True`` query
         ``i`` must BE bound row ``i`` and its self-match is masked out
         (leave-one-out mode); a query set of another length raises
@@ -356,14 +359,15 @@ class DistanceKernel(ABC):
             block_size,
             max(1, _BLOCK_BYTES // (self.num_bound * self._dtype.itemsize)),
         )
-        state = self._state(queries)
-        bound_rows, query_rows = self._operands(queries, state)
         all_dist = np.empty((n, k))
         all_idx = np.empty((n, k), dtype=np.int64)
         for block in iter_blocks(n, rows):
+            block_queries = queries[block]
+            state = self._state(block_queries)
+            bound_rows, query_rows = self._operands(block_queries, state)
             part, part_cmp = self._winners(
-                query_rows[block] @ bound_rows.T,
-                _slice_state(state, block),
+                query_rows @ bound_rows.T,
+                state,
                 self._bound_state,
                 k,
                 self_offset=block.start if exclude_self else None,

@@ -14,8 +14,8 @@ Design
   blocks aligned to the *source* (not to the request), and each block is
   keyed by ``(transform, blake2b(block bytes))``.  Two strategies that
   pull the same shuffled pool with different chunk boundaries therefore
-  share every cached block, and a second run that rebuilds an identical
-  pool array (same seed, same data) hits purely on content.  Transform
+  share every cached block, and a second run that draws the same order
+  over the same data (same seed) hits purely on content.  Transform
   tokens are themselves content-derived (a digest of the transform's
   pickled, fitted state), so the *same* transform rebuilt in another
   process — or another run — addresses the *same* blocks.
@@ -33,6 +33,15 @@ Design
   ``spill_bytes`` the spill tier (least-recently-used files are
   unlinked), so the store is safe to leave attached to a long-lived
   service and corpora larger than RAM stream through the hot budget.
+  The hot tier counts the buffers its blocks keep alive: blocks cut
+  from one transform run are views of the run's output, which counts
+  once and is freed only when its last block leaves.
+- **Permuted sources without a permuted copy.**  A caller that reads a
+  matrix in another row order passes the matrix and the ``order``;
+  logical row ``i`` is ``source[order[i]]``, gathered one block at a
+  time for its digest and one run of missing blocks at a time for the
+  transform.  Block bytes, and so block ids, equal those of the
+  materialized ``source[order]``.
 - **Thread-safe.**  Bookkeeping is guarded by a lock while the actual
   ``transform.transform`` calls (and spill-file reads) run outside it,
   so the ``thread`` execution backend embeds different arms
@@ -264,7 +273,9 @@ class EmbeddingStore:
     ----------
     max_bytes:
         Hot-tier byte budget; least-recently-used blocks are dropped
-        once exceeded (a spill tier already holds its own copy).
+        once exceeded (a spill tier already holds its own copy).  It
+        counts each buffer hot blocks keep alive once, so a transform
+        run larger than the budget keeps none of its blocks hot.
     block_rows:
         Rows per cached block.  Requests covering partial blocks embed
         the whole block once — rows a progressive consumer would need
@@ -318,6 +329,9 @@ class EmbeddingStore:
         self._lock = threading.RLock()
         # (transform token, block digest) -> array (LRU, budgeted).
         self._blocks: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
+        # id(buffer) -> hot blocks that are views of it; ``_bytes`` sums
+        # the distinct buffers, which is what the hot tier keeps alive.
+        self._owners: dict[int, int] = {}
         self._bytes = 0
         self._hits = 0
         self._misses = 0
@@ -333,10 +347,11 @@ class EmbeddingStore:
         self._tokens: dict[int, str] = {}
         self._token_refs: dict[int, weakref.ref] = {}
         self._token_counter = 0
-        # Per-source-array digest cache: id(source) -> {block -> digest},
-        # held weakly so a collected source releases its cache.
-        self._digests: dict[int, dict[int, bytes]] = {}
-        self._digest_refs: dict[int, weakref.ref] = {}
+        # Digest cache per (source, order) pair: (id(source), id(order)
+        # or None) -> {block -> digest}, held weakly so that collecting
+        # either array releases the entry.
+        self._digests: dict[tuple, dict[int, bytes]] = {}
+        self._digest_refs: dict[tuple, tuple[weakref.ref, ...]] = {}
         # Spill index: file id -> bytes on disk (LRU by access).
         self.store_dir: str | None = None
         self._spill_index: "OrderedDict[str, int]" = OrderedDict()
@@ -354,19 +369,37 @@ class EmbeddingStore:
         return self.embed_rows(transform, x, 0, len(x))
 
     def embed_rows(
-        self, transform, source: np.ndarray, start: int, stop: int
+        self,
+        transform,
+        source: np.ndarray,
+        start: int,
+        stop: int,
+        order: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Embed rows ``[start, stop)`` of ``source``, block-aligned.
+        """Embed logical rows ``[start, stop)`` of ``source``, block-aligned.
+
+        Without ``order`` the logical rows are ``source``'s own; with a
+        1-D integer ``order``, logical row ``i`` is ``source[order[i]]``
+        and blocks align to ``order``'s positions.  Rows are gathered one
+        block at a time for the block digest and one run of missing
+        blocks at a time for ``transform``, so ``source[order]`` is never
+        materialized; blocks, their ids and the output equal those of
+        ``embed_rows(transform, source[order], start, stop)``.
 
         The returned array must be treated as read-only: single-block
         requests are served as views of cached blocks (multi-block
         requests concatenate, which copies).
         """
         source = self._check_source(transform, source)
-        if not 0 <= start <= stop <= len(source):
+        if order is not None:
+            order = np.asarray(order)
+        with self._lock:
+            digests = self._digest_cache(source, order)
+        num_rows = len(source) if order is None else len(order)
+        if not 0 <= start <= stop <= num_rows:
             raise DataValidationError(
                 f"invalid row range [{start}, {stop}) for source of "
-                f"{len(source)} rows"
+                f"{num_rows} rows"
             )
         if stop == start:
             return np.empty((0, transform.output_dim), dtype=self._block_dtype)
@@ -379,7 +412,9 @@ class EmbeddingStore:
         missing: list[int] = []
         with self._lock:
             for block in range(first, last + 1):
-                key = (token, self._block_digest(source, block))
+                key = (
+                    token, self._block_digest(digests, source, order, block)
+                )
                 keys[block] = key
                 cached = self._lookup_hot(key)
                 if cached is not None:
@@ -411,9 +446,10 @@ class EmbeddingStore:
         # each, outside the lock so concurrent arms embed in parallel.
         for run_start, run_stop in _contiguous_runs(missing):
             lo = run_start * block_size
-            hi = min(run_stop * block_size, len(source))
+            hi = min(run_stop * block_size, num_rows)
             embedded = np.asarray(
-                transform.transform(source[lo:hi]), dtype=self._block_dtype
+                transform.transform(take_rows(source, order, lo, hi)),
+                dtype=self._block_dtype,
             )
             for block in range(run_start, run_stop):
                 piece = np.ascontiguousarray(
@@ -452,6 +488,7 @@ class EmbeddingStore:
         """
         with self._lock:
             self._blocks.clear()
+            self._owners.clear()
             self._bytes = 0
             self._digests.clear()
             self._digest_refs.clear()
@@ -514,14 +551,35 @@ class EmbeddingStore:
             self._blocks.move_to_end(key)
             return existing
         self._blocks[key] = array
-        self._bytes += array.nbytes
+        self._hold(array)
         if self.store_dir is not None and not spilled:
             self._write_through(key, array)
         while self._bytes > self.max_bytes and self._blocks:
             _, evicted = self._blocks.popitem(last=False)
-            self._bytes -= evicted.nbytes
+            self._release(evicted)
             self._evictions += 1
         return array
+
+    def _hold(self, array: np.ndarray) -> None:
+        """Count a block in: its buffer's bytes with its first block."""
+        owner = _owner(array)
+        held = self._owners.get(id(owner), 0)
+        if not held:
+            self._bytes += owner.nbytes
+        self._owners[id(owner)] = held + 1
+
+    def _release(self, array: np.ndarray) -> None:
+        """Count a block out: its buffer's bytes leave with its last block.
+
+        A hot block keeps its buffer alive, so an id in ``_owners``
+        cannot be recycled before its count reaches zero.
+        """
+        owner = _owner(array)
+        held = self._owners.pop(id(owner)) - 1
+        if held:
+            self._owners[id(owner)] = held
+        else:
+            self._bytes -= owner.nbytes
 
     def _write_through(self, key, array: np.ndarray) -> None:
         """Persist one block to the spill tier (lock held)."""
@@ -571,20 +629,26 @@ class EmbeddingStore:
         return array
 
     def _set_store_dir(self, directory: str) -> None:
+        """Index the spill dir's block files, oldest mtime first.
+
+        One ``stat`` per file; a file removed since the listing is
+        skipped.
+        """
         os.makedirs(directory, exist_ok=True)
         self.store_dir = directory
         entries = []
-        for name in os.listdir(directory):
-            if not name.endswith(_SPILL_SUFFIX):
-                continue
-            path = os.path.join(directory, name)
-            try:
+        with os.scandir(directory) as listing:
+            for entry in listing:
+                if not entry.name.endswith(_SPILL_SUFFIX):
+                    continue
+                try:
+                    info = entry.stat()
+                except OSError:
+                    continue
                 entries.append(
-                    (os.path.getmtime(path), name[: -len(_SPILL_SUFFIX)],
-                     os.path.getsize(path))
+                    (info.st_mtime, entry.name[: -len(_SPILL_SUFFIX)],
+                     info.st_size)
                 )
-            except OSError:
-                continue
         for _, file_id, size in sorted(entries):
             self._spill_index[file_id] = size
             self._spill_used += size
@@ -661,33 +725,89 @@ class EmbeddingStore:
             if token not in self._tokens.values():
                 stale = [key for key in self._blocks if key[0] == token]
                 for key in stale:
-                    self._bytes -= self._blocks.pop(key).nbytes
+                    self._release(self._blocks.pop(key))
 
-    def _drop_digests(self, key: int) -> None:
-        """Weakref purge: a source array died; release its digest cache."""
+    def _drop_digests(self, key: tuple) -> None:
+        """Weakref purge: a source or order died; release its digests."""
         with self._lock:
             self._digests.pop(key, None)
             self._digest_refs.pop(key, None)
 
-    def _block_digest(self, source: np.ndarray, block: int) -> bytes:
-        key = id(source)
-        per_source = self._digests.get(key)
-        if per_source is None:
-            per_source = {}
-            self._digests[key] = per_source
-            self._digest_refs[key] = weakref.ref(
-                source, lambda _ref, key=key: self._drop_digests(key)
+    def _digest_cache(
+        self, source: np.ndarray, order: np.ndarray | None
+    ) -> dict[int, bytes]:
+        """Block digests of ``source`` read through ``order`` (lock held).
+
+        Keyed by both arrays, so one ``order`` over two sources never
+        shares digests.  ``order`` is validated when its entry is made.
+        """
+        key = (id(source), None if order is None else id(order))
+        digests = self._digests.get(key)
+        if digests is None:
+            arrays = (source,)
+            if order is not None:
+                check_order(order, len(source))
+                arrays = (source, order)
+            self._digest_refs[key] = tuple(
+                weakref.ref(array, lambda _ref: self._drop_digests(key))
+                for array in arrays
             )
-        digest = per_source.get(block)
+            digests = self._digests[key] = {}
+        return digests
+
+    def _block_digest(
+        self,
+        digests: dict[int, bytes],
+        source: np.ndarray,
+        order: np.ndarray | None,
+        block: int,
+    ) -> bytes:
+        digest = digests.get(block)
         if digest is None:
             lo = block * self.block_rows
-            rows = np.ascontiguousarray(source[lo : lo + self.block_rows])
+            rows = np.ascontiguousarray(
+                take_rows(source, order, lo, lo + self.block_rows)
+            )
             hasher = hashlib.blake2b(digest_size=16)
             hasher.update(np.int64(rows.shape).tobytes())
-            hasher.update(rows.tobytes())
-            digest = hasher.digest()
-            per_source[block] = digest
+            hasher.update(rows)
+            digest = digests[block] = hasher.digest()
         return digest
+
+
+def check_order(order, num_rows: int) -> np.ndarray:
+    """Validate a row order: a 1-D integer array indexing ``num_rows`` rows."""
+    order = np.asarray(order)
+    if order.ndim != 1 or not np.issubdtype(order.dtype, np.integer):
+        raise DataValidationError(
+            f"order must be a 1-D integer array, got dtype {order.dtype} "
+            f"and shape {order.shape}"
+        )
+    if len(order) and (order.min() < 0 or order.max() >= num_rows):
+        raise DataValidationError(
+            f"order indexes rows outside [0, {num_rows})"
+        )
+    return order
+
+
+def take_rows(
+    source: np.ndarray, order: np.ndarray | None, start: int, stop: int
+) -> np.ndarray:
+    """Logical rows ``[start, stop)`` of ``source`` read through ``order``.
+
+    A view of ``source`` without an ``order``; with one, the rows
+    ``source[order[start:stop]]``, gathered into a new array.
+    """
+    if order is None:
+        return source[start:stop]
+    return source[order[start:stop]]
+
+
+def _owner(array: np.ndarray) -> np.ndarray:
+    """The array whose buffer ``array`` views: its last ndarray base."""
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    return array
 
 
 def embed_or_transform(

@@ -1,5 +1,7 @@
 """Unit tests for the bandit subpackage (arms, SH, tangent, uniform)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,11 @@ from repro.bandit.doubling import doubling_successive_halving
 from repro.bandit.successive_halving import successive_halving
 from repro.bandit.tangent import tangent_lower_bound
 from repro.bandit.uniform import uniform_allocation
+from repro.datasets.base import Dataset
 from repro.exceptions import BudgetError, ConvergenceError, DataValidationError
 from repro.knn.brute_force import BruteForceKNN
+from repro.transforms.linear import IdentityTransform, PCATransform
+from repro.transforms.store import EmbeddingStore
 
 
 def _order(dataset, seed):
@@ -93,6 +98,80 @@ class TestArms:
 
     def test_current_loss_before_pull_is_inf(self, arms):
         assert arms[0].current_loss == np.inf
+
+    @pytest.mark.parametrize("with_store", [False, True])
+    def test_order_reads_the_permuted_pool(self, dataset, catalog, with_store):
+        order = _order(dataset, 5)
+        transform = catalog["emb_mid"]
+
+        def arm(train_x, train_y, **kwargs):
+            store = EmbeddingStore(block_rows=64) if with_store else None
+            return TransformationArm(
+                transform, train_x, train_y, dataset.test_x, dataset.test_y,
+                store=store, **kwargs,
+            )
+
+        through_order = arm(dataset.train_x, dataset.train_y, order=order)
+        materialized = arm(dataset.train_x[order], dataset.train_y[order])
+        for size in (50, 130, 1000):
+            assert through_order.pull(size) == materialized.pull(size)
+        assert through_order.exhausted
+        np.testing.assert_array_equal(
+            through_order.train_labels, materialized.train_labels
+        )
+
+    @pytest.mark.parametrize(
+        "order", [[[0, 1]], [0.5, 1.5], [0, 600], [-1]],
+        ids=["2-d", "float", "past-the-end", "negative"],
+    )
+    def test_invalid_order_raises(self, dataset, catalog, order):
+        with pytest.raises(DataValidationError, match="order"):
+            TransformationArm(
+                catalog["emb_mid"], dataset.train_x, dataset.train_y,
+                dataset.test_x, dataset.test_y, order=np.array(order),
+            )
+
+    def test_label_length_mismatch_raises(self, dataset, catalog):
+        with pytest.raises(DataValidationError, match="length mismatch"):
+            TransformationArm(
+                catalog["emb_mid"], dataset.train_x, dataset.train_y[:-1],
+                dataset.test_x, dataset.test_y,
+                order=_order(dataset, 0),
+            )
+
+    def test_build_arms_holds_no_permuted_pool(self):
+        rng = np.random.default_rng(0)
+        pool = Dataset(
+            "pool", rng.normal(size=(20000, 32)), rng.integers(0, 2, 20000),
+            rng.normal(size=(20, 32)), rng.integers(0, 2, 20), num_classes=2,
+        )
+        transforms = [
+            IdentityTransform(32).fit(pool.train_x),
+            PCATransform(4).fit(pool.train_x),
+        ]
+        order = _order(pool, 0)
+        tracemalloc.start()
+        try:
+            arms = build_arms(transforms, pool, order, store=EmbeddingStore())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # A permuted copy of the 5 MB pool alone would pass the bound.
+        assert peak < pool.train_x.nbytes / 2
+        assert all(arm._train_x is pool.train_x for arm in arms)
+
+    def test_unfitted_transforms_fit_on_one_permuted_pool(self, dataset):
+        seen = []
+
+        class Recording(PCATransform):
+            def fit(self, x):
+                seen.append(x)
+                return super().fit(x)
+
+        order = _order(dataset, 2)
+        build_arms([Recording(4), Recording(3)], dataset, order)
+        assert seen[0] is seen[1]
+        np.testing.assert_array_equal(seen[0], dataset.train_x[order])
 
     def test_build_arms_shares_sample_order(self, dataset, catalog):
         arms = build_arms(catalog, dataset, _order(dataset, 3))

@@ -14,6 +14,7 @@ import pytest
 
 from repro.core.engine import EXECUTION_BACKENDS, RoundScheduler
 from repro.core.snoopy import Snoopy, SnoopyConfig
+from repro.datasets.base import Dataset
 from repro.exceptions import DataValidationError
 from repro.transforms.store import EmbeddingStore
 
@@ -135,6 +136,27 @@ class TestBackendParity:
             catalog, dataset, "successive_halving_tangent", "thread", seed
         )
         assert thr == ref
+
+    def test_arms_share_a_read_only_dataset(self, dataset, catalog):
+        """Arms on pool threads read the dataset's own arrays, in place."""
+        frozen = Dataset(
+            "frozen", dataset.train_x.copy(), dataset.train_y.copy(),
+            dataset.test_x.copy(), dataset.test_y.copy(), dataset.num_classes,
+        )
+        for array in (frozen.train_x, frozen.train_y, frozen.test_x,
+                      frozen.test_y):
+            array.setflags(write=False)
+        reports = {}
+        for backend in EXECUTION_BACKENDS:
+            config = SnoopyConfig(
+                seed=0, execution_backend=backend, max_workers=2
+            )
+            system = Snoopy(catalog, config)
+            reports[backend] = _report_fingerprint(system.run(frozen, 0.7))
+            assert all(
+                arm._train_x is frozen.train_x for arm in system._state.arms
+            )
+        assert reports["thread"] == reports["serial"]
 
     def test_store_disabled_still_runs(self, dataset, catalog):
         config = SnoopyConfig(seed=0, embedding_cache_bytes=0)

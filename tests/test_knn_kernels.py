@@ -153,6 +153,19 @@ class TestBlockBudget:
         # one chunk of key scratch: about 1 MB here.
         assert peak < kernels._BLOCK_BYTES + (2 << 20)
 
+    def test_queries_are_prepared_per_block(self):
+        # A leave-one-out search at feebee-zoo's shape: a whole-set -2Q
+        # operand would add X.nbytes on top of the 16 MiB product.
+        x = np.random.default_rng(0).normal(size=(6000, 75))
+        kernel = make_kernel("euclidean", x, dtype=None)
+        tracemalloc.start()
+        try:
+            kernel.topk(x, 5, exclude_self=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < kernels._BLOCK_BYTES + x.nbytes / 2
+
     @pytest.mark.parametrize("block_size", [0, -1])
     def test_nonpositive_block_size_raises(self, rng, block_size):
         x = rng.normal(size=(20, 3))

@@ -1,5 +1,6 @@
 """Tests for the EmbeddingStore's disk spill tier and lifecycle."""
 
+import contextlib
 import json
 import os
 
@@ -285,6 +286,26 @@ class TestScanAndClear:
         assert [e["file"] for e in scan_spill_dir(str(tmp_path))] == [
             "kept" + _SPILL_SUFFIX
         ]
+
+    def test_store_index_skips_files_removed_since_listing(
+        self, tmp_path, monkeypatch
+    ):
+        kept = _write_spill(str(tmp_path), "kept", np.zeros((2, 3)))
+        _write_spill(str(tmp_path), "gone", np.zeros((2, 3)))
+        scandir = os.scandir
+
+        def racing_scandir(path):
+            # "gone" is listed, then removed before its stat, as by a
+            # concurrent `repro store clear` or spill-LRU unlink.
+            with scandir(path) as listing:
+                entries = list(listing)
+            os.unlink(tmp_path / ("gone" + _SPILL_SUFFIX))
+            return contextlib.nullcontext(entries)
+
+        monkeypatch.setattr(store_module.os, "scandir", racing_scandir)
+        store = EmbeddingStore(store_dir=tmp_path)
+        assert list(store._spill_index) == ["kept"]
+        assert store.stats.spill_current_bytes == kept
 
     def test_clear_removes_files_and_reports_bytes(self, tmp_path):
         _write_spill(str(tmp_path), "a", np.zeros((8, 4)))

@@ -1,7 +1,10 @@
 """Unit tests for the shared EmbeddingStore."""
 
 import gc
+import os
+import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -37,6 +40,13 @@ def data(rng):
 @pytest.fixture()
 def transform(data):
     return CountingTransform(6).fit(data)
+
+
+def _buffer(array):
+    """The array whose memory ``array`` views."""
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    return array
 
 
 class TestEmbedExactness:
@@ -155,6 +165,42 @@ class TestEvictionAndStats:
         assert len(store) == 0
         assert store.stats.current_bytes == 0
 
+    @pytest.mark.parametrize(
+        "rows, hot_blocks, evictions", [(512, 2, 0), (16384, 0, 64)]
+    )
+    def test_budget_counts_the_buffers_hot_blocks_keep_alive(
+        self, rows, hot_blocks, evictions
+    ):
+        # One transform call embeds a run of missing blocks, and its
+        # blocks are views of the call's output.  Two 256 x 16 float32
+        # blocks fill the budget: a 2-block run fits, a 64-block run's
+        # 1 MiB output does not, so none of its blocks stays hot.
+        outputs = []
+
+        class Recording(PCATransform):
+            def transform(self, x):
+                out = super().transform(x).astype(np.float32)
+                outputs.append(weakref.ref(out))
+                return out
+
+        x = np.random.default_rng(0).normal(size=(rows, 32))
+        pca = Recording(16).fit(x)
+        store = EmbeddingStore(
+            max_bytes=2 * 256 * 16 * 4, block_rows=256, dtype="float32"
+        )
+        store.embed(pca, x)
+        buffers = {
+            id(_buffer(block)): _buffer(block).nbytes
+            for block in store._blocks.values()
+        }
+        stats = store.stats
+        assert stats.current_bytes == sum(buffers.values())
+        assert stats.current_bytes <= stats.max_bytes
+        assert (len(store), stats.evictions) == (hot_blocks, evictions)
+        gc.collect()
+        assert len(outputs) == 1
+        assert (outputs[0]() is not None) == bool(hot_blocks)
+
     def test_invalid_budget_raises(self):
         with pytest.raises(DataValidationError):
             EmbeddingStore(max_bytes=0)
@@ -168,10 +214,22 @@ class TestLifecycle:
     def test_dead_source_releases_digest_cache(self, transform, rng):
         store = EmbeddingStore(block_rows=64)
         for _ in range(4):
-            # Fresh pool per "run", as Snoopy builds train_x[order] anew.
+            # A fresh pool per run.
             pool = rng.normal(size=(300, 6))
             store.embed(transform, pool)
             del pool
+            gc.collect()
+        assert len(store._digests) == 0
+        assert len(store._digest_refs) == 0
+
+    def test_dead_order_releases_digest_cache(self, data, transform, rng):
+        store = EmbeddingStore(block_rows=64)
+        for _ in range(4):
+            # A fresh permutation per run over one live source, as
+            # Snoopy draws one per study.
+            order = rng.permutation(len(data))
+            store.embed_rows(transform, data, 0, len(data), order=order)
+            del order
             gc.collect()
         assert len(store._digests) == 0
         assert len(store._digest_refs) == 0
@@ -193,6 +251,17 @@ class TestLifecycle:
         assert store.stats.current_bytes == 0
         assert len(store._tokens) == 0
 
+    def test_dead_transform_releases_its_run_buffer(self, data):
+        # Five hot blocks, all views of one transform call's output.
+        store = EmbeddingStore(block_rows=64)
+        pca = PCATransform(3).fit(data)
+        store.embed(pca, data)
+        assert store.stats.current_bytes == len(data) * 3 * 8
+        del pca
+        gc.collect()
+        assert len(store) == 0
+        assert store.stats.current_bytes == 0
+
     def test_recycled_transform_id_cannot_alias(self, data):
         """A new transform never inherits a dead transform's blocks."""
         store = EmbeddingStore(block_rows=64)
@@ -203,6 +272,78 @@ class TestLifecycle:
         second = CountingTransform(6, name="same").fit(data)
         store.embed(second, data)
         assert second.calls > 0  # recomputed, not served from a ghost
+
+
+class TestOrderedSource:
+    """``embed_rows(..., order=o)`` serves what ``source[o]`` would."""
+
+    def test_matches_materialized_source(self, tmp_path, data, rng):
+        order = rng.permutation(len(data))
+        pool = data[order]
+        pca = PCATransform(3).fit(data)
+        through_order = EmbeddingStore(
+            block_rows=64, store_dir=tmp_path / "order"
+        )
+        materialized = EmbeddingStore(
+            block_rows=64, store_dir=tmp_path / "pool"
+        )
+        # Straddling blocks, a partial last block, then all rows, warm.
+        for start, stop in [(37, 215), (250, 300), (0, 300)]:
+            np.testing.assert_array_equal(
+                through_order.embed_rows(pca, data, start, stop, order=order),
+                materialized.embed_rows(pca, pool, start, stop),
+            )
+            assert through_order.stats == materialized.stats
+        assert sorted(os.listdir(tmp_path / "order")) == sorted(
+            os.listdir(tmp_path / "pool")
+        )
+
+    @pytest.mark.parametrize(
+        "prime_with_order", [True, False], ids=["order-primes", "pool-primes"]
+    )
+    def test_spill_dir_serves_the_other_path(
+        self, tmp_path, data, rng, prime_with_order
+    ):
+        order = rng.permutation(len(data))
+        pool = data[order]
+
+        def embed(store, transform, with_order):
+            if with_order:
+                return store.embed_rows(
+                    transform, data, 0, len(data), order=order
+                )
+            return store.embed(transform, pool)
+
+        with EmbeddingStore(block_rows=64, store_dir=tmp_path) as store:
+            embed(store, CountingTransform(6).fit(data), prime_with_order)
+        fresh = CountingTransform(6).fit(data)
+        with EmbeddingStore(block_rows=64, store_dir=tmp_path) as store:
+            out = embed(store, fresh, not prime_with_order)
+            assert store.stats.misses == 0
+        assert fresh.calls == 0
+        np.testing.assert_array_equal(out, pool)
+
+    def test_one_order_over_two_sources_never_shares_digests(
+        self, data, transform, rng
+    ):
+        order = rng.permutation(len(data))
+        other = data + 1.0
+        store = EmbeddingStore(block_rows=64)
+        store.embed_rows(transform, data, 0, len(data), order=order)
+        out = store.embed_rows(transform, other, 0, len(data), order=order)
+        np.testing.assert_array_equal(out, other[order])
+        assert transform.calls == 2
+
+    @pytest.mark.parametrize(
+        "order",
+        [np.array([[0, 1]]), np.array([0.0, 1.0]), np.array([0, 300]),
+         np.array([-1, 0])],
+        ids=["2-d", "float", "past-the-end", "negative"],
+    )
+    def test_invalid_order_raises(self, data, transform, order):
+        store = EmbeddingStore(block_rows=64)
+        with pytest.raises(DataValidationError, match="order"):
+            store.embed_rows(transform, data, 0, 1, order=order)
 
 
 class TestOutputSafety:
@@ -237,6 +378,55 @@ class TestThreadSafety:
         for thread in threads:
             thread.join()
         assert not errors
+
+    def test_concurrent_ordered_embeds_keep_the_budget_exact(self, data, rng):
+        # Two transforms share a token and so race on the same keys;
+        # a 3-block budget makes every insert evict.  Each worker's runs
+        # share one gathered buffer, so a lost update in the per-buffer
+        # counts would leave current_bytes off the hot tier's buffers.
+        order = rng.permutation(len(data))
+        transforms = [CountingTransform(6, name="shared").fit(data)
+                      for _ in range(2)]
+        transforms += [CountingTransform(6, name=f"t{i}").fit(data)
+                       for i in range(4)]
+        store = EmbeddingStore(max_bytes=3 * 32 * 6 * 8, block_rows=32)
+        errors = []
+
+        def worker(transform):
+            try:
+                for _ in range(3):
+                    for start in range(0, len(data), 70):
+                        stop = min(start + 70, len(data))
+                        out = store.embed_rows(
+                            transform, data, start, stop, order=order
+                        )
+                        np.testing.assert_array_equal(
+                            out, data[order[start:stop]]
+                        )
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=worker, args=(t,)) for t in transforms
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        buffers = {
+            id(_buffer(block)): _buffer(block).nbytes
+            for block in store._blocks.values()
+        }
+        assert store.stats.current_bytes == sum(buffers.values())
+        assert store.stats.current_bytes <= store.max_bytes
+        assert store.stats.evictions > 0
 
 
 class TestEmbedOrTransform:
