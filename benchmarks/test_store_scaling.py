@@ -37,7 +37,6 @@ import time
 import pytest
 
 from conftest import write_result
-from repro.core.engine import default_max_workers
 from repro.core.snoopy import Snoopy, SnoopyConfig
 from repro.datasets import load
 from repro.reporting.tables import render_table
@@ -47,8 +46,8 @@ from repro.transforms.store import EmbeddingStore
 
 pytestmark = pytest.mark.slow
 
-#: Matches test_engine_parallel so the study working set (~20 MiB of
-#: embeddings) dwarfs the capped hot budget below.
+#: Large enough that the study working set (~20 MiB of embeddings)
+#: dwarfs the capped hot budget below.
 BENCH_SCALE = 0.08
 
 #: Hot-tier cap for the bigger-than-budget configuration.
@@ -164,7 +163,6 @@ def _restarted_run(catalog, dataset, store_dir, result_path):
 
 def test_store_scaling(bench_dataset, logged_catalog, tmp_path):
     catalog, log_path = logged_catalog
-    workers = default_max_workers()
     spill_dir = str(tmp_path / "spill")
 
     # 1. Cold populate: compute everything once, write through to disk.
@@ -242,7 +240,7 @@ def test_store_scaling(bench_dataset, logged_catalog, tmp_path):
         title=(
             f"EmbeddingStore tiers on {bench_dataset.name}: "
             f"{len(catalog)} arms, {bench_dataset.num_train} train / "
-            f"{bench_dataset.num_test} test, {workers} worker(s)"
+            f"{bench_dataset.num_test} test"
         ),
     )
     lines = [

@@ -10,12 +10,9 @@ problem into non-stochastic best-arm identification:
   Talwalkar 2016), optionally with the tangent early-stopping rule of
   Algorithm 2.
 - :mod:`repro.bandit.uniform` — the uniform-allocation baseline.
-- :mod:`repro.bandit.doubling` — the doubling trick removing the budget
-  hyper-parameter.
 """
 
 from repro.bandit.arms import TransformationArm, build_arms
-from repro.bandit.doubling import doubling_successive_halving
 from repro.bandit.successive_halving import (
     SelectionResult,
     successive_halving,
@@ -27,7 +24,6 @@ __all__ = [
     "SelectionResult",
     "TransformationArm",
     "build_arms",
-    "doubling_successive_halving",
     "successive_halving",
     "tangent_lower_bound",
     "uniform_allocation",

@@ -6,12 +6,12 @@ next chunk of training samples (accruing simulated inference cost) and
 updates the exact 1NN test error.  Losses are the 1NN errors — lower is
 better — exactly the quantity successive halving ranks on.
 
-Arms are the unit of work of the staged execution engine: the multi-pull
-plans (:meth:`TransformationArm.pull_to`,
+Arms are the unit of work of an allocation round: the multi-pull plans
+(:meth:`TransformationArm.pull_to`,
 :meth:`TransformationArm.pull_with_tangent`,
-:meth:`TransformationArm.exhaust`) touch only the arm's own state, so a
-:class:`repro.core.engine.RoundScheduler` can run them serially or on
-threads with bit-identical results.
+:meth:`TransformationArm.exhaust`) touch only the arm's own state and
+draw no randomness, so the order in which a round pulls its arms does
+not change their losses.
 """
 
 from __future__ import annotations
@@ -164,8 +164,8 @@ class TransformationArm:
 
         Guarantees at least one loss reading exists once the target is
         met (appending a zero-cost reading if needed), then returns the
-        current loss.  Self-contained: safe to run on any execution
-        backend.
+        current loss.  Self-contained: reads and writes only this arm's
+        state.
         """
         while self.samples_used < target and not self.exhausted:
             self.pull(min(pull_size, target - self.samples_used))

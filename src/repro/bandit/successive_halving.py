@@ -16,9 +16,8 @@ survivors, and all of successive halving's guarantees carry over.
 Within a round, arm pulls are independent: every surviving arm pulls to
 the same cumulative target using only its own state, and the tangent
 threshold is fixed (from the protected half) before any candidate is
-pulled.  Both loops therefore dispatch through a
-:class:`repro.core.engine.RoundScheduler`, which issues the pulls
-concurrently on the configured backend with bit-identical results.
+pulled.  Each round's pulls run through a
+:class:`repro.core.engine.RoundScheduler`, one arm after another.
 """
 
 from __future__ import annotations
@@ -54,15 +53,13 @@ def successive_halving(
     budget: int,
     pull_size: int = 64,
     use_tangent: bool = False,
-    scheduler: RoundScheduler | None = None,
 ) -> SelectionResult:
     """Run Algorithm 1 (optionally with Algorithm 2's tangent breaks).
 
     Parameters
     ----------
     arms:
-        Freshly built (or partially pulled — see the doubling trick)
-        transformation arms.
+        Freshly built (or partially pulled) transformation arms.
     budget:
         Total number of training samples that may be embedded across all
         arms and rounds.
@@ -71,9 +68,6 @@ def successive_halving(
         every chunk.
     use_tangent:
         Enable the early-stopping variant.
-    scheduler:
-        Round scheduler carrying the execution backend; ``None`` runs
-        serially.  Results are bit-identical across backends.
     """
     if not arms:
         raise BudgetError("need at least one arm")
@@ -81,7 +75,7 @@ def successive_halving(
         raise BudgetError(f"budget must be positive, got {budget}")
     if pull_size < 1:
         raise BudgetError(f"pull_size must be positive, got {pull_size}")
-    scheduler = scheduler or RoundScheduler()
+    scheduler = RoundScheduler()
     num_arms = len(arms)
     rounds = max(1, int(np.ceil(np.log2(num_arms))))
     surviving = list(arms)
@@ -104,7 +98,7 @@ def successive_halving(
             # The better half (by current loss) is protected and pulled in
             # full; the rest may be pruned by the tangent rule.  The
             # threshold is fixed before any candidate pulls, so the
-            # candidates are mutually independent and run concurrently.
+            # candidates are mutually independent.
             surviving.sort(key=lambda arm: arm.current_loss)
             protected, candidates = surviving[:keep], surviving[keep:]
             scheduler.pull_to(protected, cumulative_target, pull_size)

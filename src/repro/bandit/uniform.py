@@ -12,13 +12,11 @@ def uniform_allocation(
     arms: list[TransformationArm],
     budget: int,
     pull_size: int = 64,
-    scheduler: RoundScheduler | None = None,
 ) -> SelectionResult:
     """Split the sample budget evenly across all arms, no elimination.
 
-    Arms are mutually independent, so the single round dispatches through
-    the scheduler's execution backend (serial when ``scheduler`` is
-    ``None``) with bit-identical results.
+    The single round pulls every arm through a
+    :class:`repro.core.engine.RoundScheduler`.
     """
     if not arms:
         raise BudgetError("need at least one arm")
@@ -26,9 +24,8 @@ def uniform_allocation(
         raise BudgetError(
             f"budget {budget} smaller than the number of arms {len(arms)}"
         )
-    scheduler = scheduler or RoundScheduler()
     per_arm = budget // len(arms)
-    scheduler.pull_to(arms, per_arm, pull_size)
+    RoundScheduler().pull_to(arms, per_arm, pull_size)
     winner = min(arms, key=lambda arm: arm.current_loss)
     return SelectionResult(
         winner=winner,

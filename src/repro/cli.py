@@ -22,7 +22,6 @@ import sys
 from collections.abc import Sequence
 
 from repro.cleaning.costs import LABEL_REGIMES
-from repro.core.engine import EXECUTION_BACKENDS
 from repro.core.snoopy import STRATEGIES, Snoopy, SnoopyConfig
 from repro.exceptions import DataValidationError
 from repro.knn.kernels import DEFAULT_COMPUTE_DTYPE, VALID_COMPUTE_DTYPES
@@ -67,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-embeddings", type=int, default=None,
         help="truncate the pre-trained catalog for speed",
     )
-    _add_engine_args(study)
+    _add_cache_arg(study)
     _add_store_args(study)
     study.add_argument(
         "--json", action="store_true", help="emit the full report as JSON"
@@ -115,19 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
             "~/.cache/repro/store)",
         )
     return parser
-
-
-def _add_engine_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--execution-backend", choices=EXECUTION_BACKENDS, default="serial",
-        help="how independent arm pulls run within a round "
-        "(default: serial; results are identical across backends)",
-    )
-    parser.add_argument(
-        "--max-workers", type=int, default=None,
-        help="thread cap for the thread backend (default: available cores)",
-    )
-    _add_cache_arg(parser)
 
 
 def _add_store_args(parser: argparse.ArgumentParser) -> None:
@@ -228,8 +214,6 @@ def _cmd_study(args: argparse.Namespace) -> int:
     config_kwargs = {
         "strategy": args.strategy,
         "seed": args.seed,
-        "execution_backend": args.execution_backend,
-        "max_workers": args.max_workers,
         "embedding_cache_bytes": args.embedding_cache_mb * 2**20,
         "store_dir": args.store_dir,
         "store_spill_bytes": (

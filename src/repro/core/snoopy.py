@@ -16,9 +16,9 @@ Given a dataset and a target accuracy, Snoopy:
    label cleaning is O(test) (Section V, Figure 13).
 
 A run is a staged pipeline — **prepare → allocate → aggregate → guide**
-— over a shared :class:`RunContext`.  The allocate phase dispatches
-independent arm pulls through a :class:`repro.core.engine.RoundScheduler`
-(serial or threaded; bit-identical results), and every embedding flows
+— over a shared :class:`RunContext`.  The allocate phase runs each
+round's independent arm pulls through a
+:class:`repro.core.engine.RoundScheduler`, and every embedding flows
 through a shared :class:`repro.transforms.store.EmbeddingStore`, so a
 second strategy run or a post-cleaning re-run never recomputes a
 transform output.
@@ -35,7 +35,7 @@ from repro.bandit.arms import TransformationArm, build_arms
 from repro.bandit.successive_halving import SelectionResult, successive_halving
 from repro.bandit.uniform import uniform_allocation
 from repro.core.aggregation import aggregate_min
-from repro.core.engine import EXECUTION_BACKENDS, RoundScheduler
+from repro.core.engine import RoundScheduler
 from repro.core.guidance import ExtrapolationResult, extrapolate_samples_needed
 from repro.core.incremental import IncrementalState
 from repro.core.result import (
@@ -90,15 +90,9 @@ class SnoopyConfig:
     perfect_arm_name:
         Required when ``strategy == "perfect"``: evaluate only this arm
         (the oracle lower-bound strategy of Figure 12).
-    execution_backend:
-        How independent arm pulls run within a round: "serial" (default)
-        or "thread".  Results are bit-identical across the two; only
-        wall-clock changes.  "thread" pays off only with BLAS pinned to
-        one thread (``OPENBLAS_NUM_THREADS=1``); with multi-threaded
-        BLAS the two pools oversubscribe the cores.
-    max_workers:
-        Thread cap for the "thread" backend; ``None`` uses the cores the
-        process may run on.
+    seed:
+        Seed of the training-pool permutation that every arm reads its
+        pulls from; ``None`` draws fresh entropy.
     embedding_cache_bytes:
         Byte budget of the shared :class:`EmbeddingStore`'s hot
         (in-memory) tier (default 256 MiB).  ``0`` or ``None`` disables
@@ -132,8 +126,6 @@ class SnoopyConfig:
     metric: str = "auto"
     perfect_arm_name: str | None = None
     seed: int | None = 0
-    execution_backend: str = "serial"
-    max_workers: int | None = None
     embedding_cache_bytes: int | None = DEFAULT_CACHE_BYTES
     store_dir: str | None = None
     store_spill_bytes: int | None = None
@@ -148,18 +140,9 @@ class SnoopyConfig:
             raise DataValidationError(
                 "strategy 'perfect' requires perfect_arm_name"
             )
-        if self.execution_backend not in EXECUTION_BACKENDS:
-            raise DataValidationError(
-                f"unknown execution backend {self.execution_backend!r}; "
-                f"expected one of {EXECUTION_BACKENDS}"
-            )
         if self.pull_size is not None and self.pull_size < 1:
             raise DataValidationError(
                 f"pull_size must be positive, got {self.pull_size}"
-            )
-        if self.max_workers is not None and self.max_workers < 1:
-            raise DataValidationError(
-                f"max_workers must be positive, got {self.max_workers}"
             )
         if (
             self.embedding_cache_bytes is not None
@@ -186,7 +169,7 @@ class SnoopyConfig:
 class RunContext:
     """Mutable state threaded through the run phases.
 
-    ``prepare`` fills the inputs (metric, permutation, arms, scheduler),
+    ``prepare`` fills the inputs (metric, permutation, arms),
     ``allocate`` the :class:`SelectionResult`, ``aggregate`` the
     per-transform estimates/curves and the winning aggregate, and
     ``guide`` consumes everything to assemble the report.
@@ -199,7 +182,6 @@ class RunContext:
     metric: str = ""
     order: np.ndarray | None = None
     arms: list[TransformationArm] = field(default_factory=list)
-    scheduler: RoundScheduler | None = None
     selection: SelectionResult | None = None
     estimates: dict[str, BEREstimate] = field(default_factory=dict)
     per_transform: list[TransformResult] = field(default_factory=list)
@@ -295,11 +277,7 @@ class Snoopy:
         prepare → allocate → aggregate → guide.
         """
         ctx = self._prepare(dataset, target_accuracy)
-        try:
-            self._allocate(ctx)
-        finally:
-            # Shut the thread pool down even when an allocation raises.
-            ctx.scheduler.close()
+        self._allocate(ctx)
         self._aggregate(ctx)
         report = self._guide(ctx)
         self._state = _RunState(
@@ -334,7 +312,7 @@ class Snoopy:
         return IncrementalState(dict(state.caches), state.num_classes)
 
     # ------------------------------------------------------------------
-    # Phase 1: prepare — validate, permute, fit, build arms + scheduler
+    # Phase 1: prepare — validate, permute, fit, build arms
     # ------------------------------------------------------------------
 
     def _prepare(self, dataset, target_accuracy: float) -> RunContext:
@@ -360,9 +338,6 @@ class Snoopy:
             store=self.store,
             dtype=config.compute_dtype,
         )
-        ctx.scheduler = RoundScheduler(
-            config.execution_backend, config.max_workers
-        )
         return ctx
 
     def _resolve_metric(self, dataset) -> str:
@@ -377,13 +352,12 @@ class Snoopy:
     def _allocate(self, ctx: RunContext) -> None:
         config = self.config
         arms = ctx.arms
-        scheduler = ctx.scheduler
         num_train = ctx.dataset.num_train
         pull_size = ctx.pull_size
         rounds = max(1, int(np.ceil(np.log2(len(arms)))))
         budget = num_train * rounds
         if config.strategy == "full":
-            scheduler.exhaust(arms, pull_size)
+            RoundScheduler().exhaust(arms, pull_size)
             winner = min(arms, key=lambda arm: arm.current_loss)
             ctx.selection = SelectionResult(
                 winner=winner,
@@ -411,7 +385,7 @@ class Snoopy:
             )
         elif config.strategy == "uniform":
             ctx.selection = uniform_allocation(
-                arms, budget, pull_size=pull_size, scheduler=scheduler
+                arms, budget, pull_size=pull_size
             )
         else:
             ctx.selection = successive_halving(
@@ -419,7 +393,6 @@ class Snoopy:
                 budget,
                 pull_size=pull_size,
                 use_tangent=config.strategy == "successive_halving_tangent",
-                scheduler=scheduler,
             )
         if not ctx.selection.winner.exhausted:
             ctx.selection.winner.exhaust()

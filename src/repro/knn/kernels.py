@@ -221,15 +221,18 @@ class DistanceKernel(ABC):
 
     def _cast_other(self, other: np.ndarray) -> np.ndarray:
         other = np.asarray(other, dtype=self._dtype)
-        if other.ndim != 2:
-            raise DataValidationError(
-                f"expected 2-D rows, got shape {other.shape}"
-            )
-        if other.shape[1] != self.dim:
-            raise DataValidationError(
-                f"dimension mismatch: {other.shape[1]} vs {self.dim}"
-            )
+        self._check_rows(other)
         return other
+
+    def _check_rows(self, rows: np.ndarray) -> None:
+        if rows.ndim != 2:
+            raise DataValidationError(
+                f"expected 2-D rows, got shape {rows.shape}"
+            )
+        if rows.shape[1] != self.dim:
+            raise DataValidationError(
+                f"dimension mismatch: {rows.shape[1]} vs {self.dim}"
+            )
 
     # ------------------------------------------------------------------
     # Fused blocked primitives
@@ -287,9 +290,9 @@ class DistanceKernel(ABC):
         chunks of at most :data:`_CHUNK_BYTES`, so a block that fits one
         chunk takes a single pass; :func:`_select` sets the tie rule.
         The scratch the key is written to is allocated here, per call,
-        never kept: kernels are bound once per arm and called
-        concurrently by the thread backend.  With ``self_offset``, row
-        ``i`` never selects column ``i + self_offset`` (leave-one-out).
+        never kept, so a bound kernel carries no state between calls.
+        With ``self_offset``, row ``i`` never selects column
+        ``i + self_offset`` (leave-one-out).
         """
         rows, cols = product.shape
         chunk = max(1, _CHUNK_BYTES // (cols * product.itemsize))
@@ -328,9 +331,9 @@ class DistanceKernel(ABC):
         Blocked over query rows: ``block_size`` is an upper bound, and a
         block holds fewer rows when its GEMM product against the whole
         corpus would pass :data:`_BLOCK_BYTES`.  Each block's queries are
-        prepared on their own (norms or unit rows, and the scaled GEMM
-        operand), so besides the outputs only a cast to the compute
-        dtype copies the whole query set.  Within a block the winners
+        cast to the compute dtype and prepared on their own (norms or
+        unit rows, and the scaled GEMM operand), so besides the outputs
+        nothing copies the whole query set.  Within a block the winners
         are selected by :func:`_select`, then sorted by comparable
         value, and only the winners are converted to true distances.
         Exact ties go to the earliest corpus row, the rule
@@ -339,7 +342,8 @@ class DistanceKernel(ABC):
         (leave-one-out mode); a query set of another length raises
         :class:`DataValidationError`.
         """
-        queries = self._cast_other(queries)
+        queries = np.asarray(queries)
+        self._check_rows(queries)
         effective_k = k + 1 if exclude_self else k
         if k < 1:
             raise DataValidationError(f"k must be >= 1, got {k}")
@@ -362,7 +366,7 @@ class DistanceKernel(ABC):
         all_dist = np.empty((n, k))
         all_idx = np.empty((n, k), dtype=np.int64)
         for block in iter_blocks(n, rows):
-            block_queries = queries[block]
+            block_queries = np.asarray(queries[block], dtype=self._dtype)
             state = self._state(block_queries)
             bound_rows, query_rows = self._operands(block_queries, state)
             part, part_cmp = self._winners(

@@ -44,8 +44,8 @@ Design
   materialized ``source[order]``.
 - **Thread-safe.**  Bookkeeping is guarded by a lock while the actual
   ``transform.transform`` calls (and spill-file reads) run outside it,
-  so the ``thread`` execution backend embeds different arms
-  concurrently.
+  so a caller may share one store across its own threads, and threads
+  embedding through different transforms do not wait on each other.
 
 A transform must not be re-fitted while a live store holds its blocks:
 re-fitting changes its output without changing the input bytes, and the
@@ -443,7 +443,7 @@ class EmbeddingStore:
                     keys[block], array, spilled=True
                 )
         # Embed contiguous runs of missing blocks in one transform call
-        # each, outside the lock so concurrent arms embed in parallel.
+        # each, outside the lock so concurrent callers embed in parallel.
         for run_start, run_stop in _contiguous_runs(missing):
             lo = run_start * block_size
             hi = min(run_stop * block_size, num_rows)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.bandit.arms import TransformationArm, build_arms
-from repro.bandit.doubling import doubling_successive_halving
 from repro.bandit.successive_halving import successive_halving
 from repro.bandit.tangent import tangent_lower_bound
 from repro.bandit.uniform import uniform_allocation
@@ -245,15 +244,3 @@ class TestUniform:
     def test_budget_below_arm_count_raises(self, arms):
         with pytest.raises(BudgetError):
             uniform_allocation(arms, budget=2)
-
-
-class TestDoubling:
-    def test_winner_exhausts_pool(self, dataset, catalog):
-        arms = build_arms(catalog, dataset, _order(dataset, 0))
-        result = doubling_successive_halving(arms, pull_size=64)
-        assert result.winner.exhausted
-        assert result.strategy.endswith("_doubling")
-
-    def test_empty_arms_raises(self):
-        with pytest.raises(BudgetError):
-            doubling_successive_halving([])

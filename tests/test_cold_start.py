@@ -5,8 +5,9 @@ Each case runs in a fresh interpreter with ``src`` on its path, so
 is counted.  scipy is imported at the call sites that need it:
 ``import repro`` loads none of it, and neither does a default study
 (its 95% Wilson bands read z from a constant), ``repro study`` or the
-feebee kNN estimators.  Execution is serial or threaded, so ``import
-repro`` loads no ``multiprocessing`` either.
+feebee kNN estimators.  A study pulls its arms in a plain loop, so
+``import repro`` loads neither ``multiprocessing`` nor
+``concurrent.futures``.
 """
 
 import json
@@ -15,6 +16,8 @@ import pathlib
 import subprocess
 import sys
 import textwrap
+
+import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -44,8 +47,9 @@ def test_import_loads_no_scipy():
     assert _modules_after("import repro, repro.cli") == []
 
 
-def test_import_loads_no_multiprocessing():
-    assert _modules_after("import repro, repro.cli", "multiprocessing") == []
+@pytest.mark.parametrize("package", ["multiprocessing", "concurrent"])
+def test_import_loads_no_multiprocessing(package):
+    assert _modules_after("import repro, repro.cli", package) == []
 
 
 def test_default_study_loads_no_scipy():

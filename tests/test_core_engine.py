@@ -1,18 +1,18 @@
-"""Execution-engine tests: the round scheduler and cross-backend parity.
+"""Run-loop tests: the round scheduler, warm stores and config checks.
 
-The headline guarantee of the round scheduler is that the ``serial`` and
-``thread`` backends produce *bit-identical* feasibility reports — same
-winner, same losses, same curves — across allocation strategies and
-seeds.  These tests pin that contract.
+The round scheduler pulls each arm of a round in turn and returns the
+results in arm order.  A study's arms read the dataset's own arrays in
+place, a warm :class:`EmbeddingStore` serves a later study with zero
+transform calls and the cold study's exact report, and misconfigured
+runs raise :class:`DataValidationError`.
 """
 
 import os
-import threading
 
 import numpy as np
 import pytest
 
-from repro.core.engine import EXECUTION_BACKENDS, RoundScheduler
+from repro.core.engine import RoundScheduler
 from repro.core.snoopy import Snoopy, SnoopyConfig
 from repro.datasets.base import Dataset
 from repro.exceptions import DataValidationError
@@ -20,63 +20,26 @@ from repro.transforms.store import EmbeddingStore
 
 
 class _Arm:
-    """A stand-in arm recording the thread its method ran on."""
+    """A stand-in arm with one pull-like method."""
 
     def __init__(self, value):
         self.value = value
-        self.thread = None
 
     def square(self, offset=0):
-        self.thread = threading.get_ident()
         return self.value * self.value + offset
 
 
 class TestBackends:
-    def test_execution_backends(self):
-        assert EXECUTION_BACKENDS == ("serial", "thread")
+    """``RoundScheduler``, the one loop every round runs through."""
 
-    def test_unknown_backend_raises(self):
-        with pytest.raises(DataValidationError):
-            RoundScheduler("quantum")
-
-    def test_invalid_max_workers_raises(self):
-        with pytest.raises(DataValidationError):
-            RoundScheduler(max_workers=0)
-
-    @pytest.mark.parametrize("backend", EXECUTION_BACKENDS)
-    def test_run_preserves_order(self, backend):
+    def test_run_preserves_order(self):
         arms = [_Arm(value) for value in range(7)]
-        with RoundScheduler(backend, max_workers=2) as scheduler:
-            assert scheduler.run(arms, "square", offset=1) == [
-                1, 2, 5, 10, 17, 26, 37
-            ]
+        assert RoundScheduler().run(arms, "square", offset=1) == [
+            1, 2, 5, 10, 17, 26, 37
+        ]
 
     def test_empty_round_returns_nothing(self):
-        assert RoundScheduler("thread").run([], "square") == []
-
-    def test_single_arm_skips_pool(self):
-        scheduler = RoundScheduler("thread", max_workers=2)
-        arm = _Arm(3)
-        assert scheduler.run([arm], "square") == [9]
-        assert scheduler._pool is None
-        assert arm.thread == threading.get_ident()
-
-    def test_serial_never_builds_a_pool(self):
-        scheduler = RoundScheduler("serial", max_workers=2)
-        arms = [_Arm(1), _Arm(2)]
-        scheduler.run(arms, "square")
-        assert scheduler._pool is None
-        assert {arm.thread for arm in arms} == {threading.get_ident()}
-
-    def test_close_is_idempotent(self):
-        scheduler = RoundScheduler("thread", max_workers=2)
-        arms = [_Arm(1), _Arm(2)]
-        scheduler.run(arms, "square")
-        assert scheduler._pool is not None
-        assert threading.get_ident() not in {arm.thread for arm in arms}
-        scheduler.close()
-        scheduler.close()
-        assert scheduler._pool is None
+        assert RoundScheduler().run([], "square") == []
 
 
 def _report_fingerprint(report):
@@ -101,44 +64,11 @@ def _report_fingerprint(report):
     }
 
 
-def _run(catalog, dataset, strategy, backend, seed=0):
-    config = SnoopyConfig(
-        strategy=strategy,
-        seed=seed,
-        execution_backend=backend,
-        max_workers=2,
-    )
-    system = Snoopy(catalog, config)
-    report = system.run(dataset, target_accuracy=0.7)
-    losses = {arm.name: list(arm.losses) for arm in system._state.arms}
-    return _report_fingerprint(report), losses
-
-
 class TestBackendParity:
-    """serial vs thread must be bit-identical."""
-
-    @pytest.mark.parametrize(
-        "strategy",
-        ["successive_halving_tangent", "successive_halving", "uniform", "full"],
-    )
-    def test_thread_matches_serial(self, dataset, catalog, strategy):
-        ref_report, ref_losses = _run(catalog, dataset, strategy, "serial")
-        thr_report, thr_losses = _run(catalog, dataset, strategy, "thread")
-        assert thr_report == ref_report
-        assert thr_losses == ref_losses
-
-    @pytest.mark.parametrize("seed", [1, 2])
-    def test_parity_across_seeds(self, dataset, catalog, seed):
-        ref, _ = _run(
-            catalog, dataset, "successive_halving_tangent", "serial", seed
-        )
-        thr, _ = _run(
-            catalog, dataset, "successive_halving_tangent", "thread", seed
-        )
-        assert thr == ref
+    """A study on read-only inputs, and one with no store."""
 
     def test_arms_share_a_read_only_dataset(self, dataset, catalog):
-        """Arms on pool threads read the dataset's own arrays, in place."""
+        """Arms read the dataset's own arrays, in place."""
         frozen = Dataset(
             "frozen", dataset.train_x.copy(), dataset.train_y.copy(),
             dataset.test_x.copy(), dataset.test_y.copy(), dataset.num_classes,
@@ -146,17 +76,11 @@ class TestBackendParity:
         for array in (frozen.train_x, frozen.train_y, frozen.test_x,
                       frozen.test_y):
             array.setflags(write=False)
-        reports = {}
-        for backend in EXECUTION_BACKENDS:
-            config = SnoopyConfig(
-                seed=0, execution_backend=backend, max_workers=2
-            )
-            system = Snoopy(catalog, config)
-            reports[backend] = _report_fingerprint(system.run(frozen, 0.7))
-            assert all(
-                arm._train_x is frozen.train_x for arm in system._state.arms
-            )
-        assert reports["thread"] == reports["serial"]
+        system = Snoopy(catalog, SnoopyConfig(seed=0))
+        system.run(frozen, 0.7)
+        assert all(
+            arm._train_x is frozen.train_x for arm in system._state.arms
+        )
 
     def test_store_disabled_still_runs(self, dataset, catalog):
         config = SnoopyConfig(seed=0, embedding_cache_bytes=0)
@@ -199,51 +123,47 @@ def _count_class_transform_calls(monkeypatch, catalog):
     return counter
 
 
-@pytest.mark.parametrize("backend", EXECUTION_BACKENDS)
 class TestWarmStore:
-    def test_second_strategy_run_embeds_nothing(
-        self, dataset, catalog, backend
-    ):
-        """A warm store serves a second strategy with zero transform calls."""
+    def test_second_strategy_run_embeds_nothing(self, dataset, catalog):
+        """A warm store serves a second strategy with zero transform calls.
+
+        The warm run reproduces that strategy's report without a store, so
+        a block served to the wrong transform or rows shows.
+        """
+        uniform = SnoopyConfig(strategy="uniform", seed=0)
+        storeless = SnoopyConfig(
+            strategy="uniform", seed=0, embedding_cache_bytes=0
+        )
+        cold = Snoopy(catalog, storeless).run(dataset, target_accuracy=0.7)
         store = EmbeddingStore()
         first = Snoopy(
-            catalog,
-            SnoopyConfig(strategy="full", seed=0, execution_backend=backend),
-            store=store,
+            catalog, SnoopyConfig(strategy="full", seed=0), store=store
         )
         first.run(dataset, target_accuracy=0.7)
         counter = _count_transform_calls(catalog)
-        second = Snoopy(
-            catalog,
-            SnoopyConfig(strategy="uniform", seed=0, execution_backend=backend),
-            store=store,
-        )
+        second = Snoopy(catalog, uniform, store=store)
         report = second.run(dataset, target_accuracy=0.7)
         assert counter["calls"] == 0
-        assert report.best_transform in catalog.names
+        assert _report_fingerprint(report) == _report_fingerprint(cold)
 
-    def test_rerun_same_system_embeds_nothing(self, dataset, catalog, backend):
-        system = Snoopy(
-            catalog, SnoopyConfig(seed=0, execution_backend=backend)
-        )
+    def test_rerun_same_system_embeds_nothing(self, dataset, catalog):
+        system = Snoopy(catalog, SnoopyConfig(seed=0))
         system.run(dataset, target_accuracy=0.7)
         counter = _count_transform_calls(catalog)
         system.run(dataset, target_accuracy=0.7)
         assert counter["calls"] == 0
 
-    def test_warm_report_matches_cold(self, dataset, catalog, backend):
+    def test_warm_report_matches_cold(self, dataset, catalog):
         cold = Snoopy(catalog, SnoopyConfig(seed=0)).run(dataset, 0.7)
-        system = Snoopy(
-            catalog, SnoopyConfig(seed=0, execution_backend=backend)
-        )
+        system = Snoopy(catalog, SnoopyConfig(seed=0))
         system.run(dataset, 0.7)
         warm = system.run(dataset, 0.7)
         assert _report_fingerprint(warm) == _report_fingerprint(cold)
 
     def test_capped_study_on_primed_spill_dir_embeds_nothing(
-        self, dataset, catalog, backend, tmp_path, monkeypatch
+        self, dataset, catalog, tmp_path, monkeypatch
     ):
-        """Evicted blocks promote back from disk, also on pool threads."""
+        """Evicted blocks promote back from disk with zero transform calls."""
         cold = Snoopy(catalog, SnoopyConfig(seed=0)).run(dataset, 0.7)
         store_dir = str(tmp_path / "spill")
         prime = SnoopyConfig(seed=0, strategy="full", store_dir=store_dir)
@@ -253,8 +173,6 @@ class TestWarmStore:
         counter = _count_class_transform_calls(monkeypatch, catalog)
         capped = SnoopyConfig(
             seed=0,
-            execution_backend=backend,
-            max_workers=2,
             store_dir=store_dir,
             embedding_cache_bytes=working_set // 16,
         )
@@ -273,15 +191,6 @@ class TestWarmStore:
 
 
 class TestConfigValidation:
-    @pytest.mark.parametrize("backend", ["gpu", "process"])
-    def test_unknown_execution_backend_raises(self, backend):
-        with pytest.raises(DataValidationError):
-            SnoopyConfig(execution_backend=backend)
-
-    def test_invalid_max_workers_raises(self):
-        with pytest.raises(DataValidationError):
-            SnoopyConfig(max_workers=0)
-
     def test_negative_cache_raises(self):
         with pytest.raises(DataValidationError):
             SnoopyConfig(embedding_cache_bytes=-1)

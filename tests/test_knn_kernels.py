@@ -123,6 +123,16 @@ class TestFusedPrimitives:
         with pytest.raises(DataValidationError, match="exceeds corpus"):
             kernel.topk(rng.normal(size=(2, 2)), k=6)
 
+    @pytest.mark.parametrize(
+        "shape", [(4,), (0,), (0, 3)], ids=["1-d", "empty-1-d", "empty-3-wide"]
+    )
+    def test_topk_checks_query_shape_before_blocking(self, rng, shape):
+        # An empty query set runs no block, so the check cannot wait
+        # for the per-block cast.
+        kernel = make_kernel("euclidean", rng.normal(size=(5, 4)))
+        with pytest.raises(DataValidationError):
+            kernel.topk(np.zeros(shape), k=1)
+
     def test_cosine_zero_vectors_maximally_dissimilar(self):
         bound = np.array([[0.0, 0.0], [1.0, 0.0]])
         kernel = make_kernel("cosine", bound, dtype=None)
@@ -153,11 +163,13 @@ class TestBlockBudget:
         # one chunk of key scratch: about 1 MB here.
         assert peak < kernels._BLOCK_BYTES + (2 << 20)
 
-    def test_queries_are_prepared_per_block(self):
+    @pytest.mark.parametrize("dtype", [None, "float32"])
+    def test_queries_are_prepared_per_block(self, dtype):
         # A leave-one-out search at feebee-zoo's shape: a whole-set -2Q
-        # operand would add X.nbytes on top of the 16 MiB product.
+        # operand, or a whole-set cast to float32, would add X.nbytes or
+        # X.nbytes / 2 on top of the 16 MiB product.
         x = np.random.default_rng(0).normal(size=(6000, 75))
-        kernel = make_kernel("euclidean", x, dtype=None)
+        kernel = make_kernel("euclidean", x, dtype=dtype)
         tracemalloc.start()
         try:
             kernel.topk(x, 5, exclude_self=True)

@@ -192,15 +192,6 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main(["study", "imagenet", "--target", "0.9"])
 
-    def test_process_backend_rejected(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main([
-                "study", "cifar10", "--target", "0.9",
-                "--execution-backend", "process",
-            ])
-        assert excinfo.value.code == 2
-        assert "invalid choice: 'process'" in capsys.readouterr().err
-
     def test_clean_loop_requires_noise(self, capsys):
         assert main([
             "clean-loop", "cifar10", "--target", "0.9", "--noise", "0",
