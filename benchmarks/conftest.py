@@ -7,9 +7,8 @@ differ — the substrate is a simulator — but orderings, crossovers and
 rough factors must hold.
 
 ``benchmarks/fresh/`` is gitignored, so running the benchmarks never
-rewrites a tracked file; ``python benchmarks/compare_baselines.py
---update`` promotes fresh tables to the checked-in baselines under
-``benchmarks/results/``.
+rewrites a tracked file.  Promote a fresh table over its tracked copy
+with ``cp benchmarks/fresh/<name>.txt benchmarks/results/``.
 """
 
 from __future__ import annotations

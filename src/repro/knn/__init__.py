@@ -9,8 +9,8 @@ error estimate in the paper:
   subsystem every distance evaluation runs through: bind-once cached
   norms, a configurable float32/float64 compute dtype, and fused
   blocked argmin/top-k primitives.
-- :mod:`repro.knn.metrics` — blocked pairwise distances (euclidean/cosine)
-  and the shared blocked top-k search.
+- :mod:`repro.knn.metrics` — dense euclidean and cosine distance
+  matrices, the strict float64 references.
 - :mod:`repro.knn.brute_force` — :class:`BruteForceKNN`, the exact kNN
   index every estimator, baseline and monitor constructs directly.
 - :mod:`repro.knn.progressive` — a streaming 1NN evaluator that ingests
@@ -35,13 +35,7 @@ from repro.knn.kernels import (
     make_kernel,
     resolve_dtype,
 )
-from repro.knn.metrics import (
-    blocked_argmin_distance,
-    blocked_topk,
-    cosine_distances,
-    euclidean_distances,
-    pairwise_distances,
-)
+from repro.knn.metrics import cosine_distances, euclidean_distances
 from repro.knn.progressive import CurvePoint, ProgressiveOneNN
 
 __all__ = [
@@ -55,12 +49,9 @@ __all__ = [
     "KNNIndex",
     "NeighborCache",
     "ProgressiveOneNN",
-    "blocked_argmin_distance",
-    "blocked_topk",
     "cosine_distances",
     "euclidean_distances",
     "majority_vote",
     "make_kernel",
-    "pairwise_distances",
     "resolve_dtype",
 ]

@@ -75,7 +75,7 @@ VALID_COMPUTE_DTYPES = ("float32", "float64")
 
 #: The recommended compute dtype for throughput-critical paths.  System
 #: entry points (``SnoopyConfig``, the CLI) default to this; the
-#: low-level index/metric APIs default to strict ``float64`` so their
+#: low-level index and evaluator default to strict ``float64`` so their
 #: historical results are preserved unless a caller opts in.
 DEFAULT_COMPUTE_DTYPE = "float32"
 
@@ -391,7 +391,7 @@ class EuclideanKernel(DistanceKernel):
 
     def _state(self, rows: np.ndarray) -> np.ndarray:
         # np.sum(rows * rows) — not einsum — so the float64 path is
-        # bit-identical to the historical pairwise_distances norms.
+        # bit-identical to the norms of metrics.euclidean_distances.
         return np.sum(rows * rows, axis=1)
 
     def _cross(self, a, a_state, b, b_state) -> np.ndarray:

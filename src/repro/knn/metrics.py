@@ -1,20 +1,9 @@
-"""Pairwise distance computations used by the kNN substrate.
+"""Dense pairwise distance matrices, the strict ``float64`` references.
 
-The functions here are exact (no approximate nearest-neighbor search) but
-block the computation so that a large query-by-corpus distance matrix is
-never materialized at once.  Both metrics used in the paper (euclidean
-and cosine dissimilarity) are provided behind one dispatch function.
-
-The dense matrix functions (:func:`euclidean_distances`,
-:func:`cosine_distances`, :func:`pairwise_distances`) are the strict
-``float64`` reference implementations.  The fused search entry points
-(:func:`blocked_topk`, :func:`blocked_argmin_distance`) are thin
-wrappers over :mod:`repro.knn.kernels`: they accept a ``dtype`` to run
-the arithmetic in single precision, and default to ``float64`` so their
-historical results are unchanged.  Callers that reuse one query or
-corpus set across many calls should hold a
-:class:`repro.knn.kernels.DistanceKernel` directly — these wrappers
-rebuild the bound-side norm cache on every call.
+:func:`euclidean_distances` and :func:`cosine_distances` form the whole
+query-by-corpus matrix at once.  The KDE and GHP estimators call the
+first; every search runs through :mod:`repro.knn.kernels` instead,
+which blocks the product and never materializes a full matrix.
 """
 
 from __future__ import annotations
@@ -22,19 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import DataValidationError
-from repro.knn.kernels import iter_blocks, make_kernel
 
-__all__ = [
-    "VALID_METRICS",
-    "blocked_argmin_distance",
-    "blocked_topk",
-    "cosine_distances",
-    "euclidean_distances",
-    "iter_blocks",
-    "pairwise_distances",
-]
-
-VALID_METRICS = ("euclidean", "cosine")
+__all__ = ["cosine_distances", "euclidean_distances"]
 
 _EPS = 1e-12
 
@@ -80,71 +58,3 @@ def cosine_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     sim[norm_a < _EPS, :] = 0.0
     sim[:, norm_b < _EPS] = 0.0
     return 1.0 - sim
-
-
-_METRIC_FUNCS = {
-    "euclidean": euclidean_distances,
-    "cosine": cosine_distances,
-}
-
-
-def pairwise_distances(
-    a: np.ndarray, b: np.ndarray, metric: str = "euclidean"
-) -> np.ndarray:
-    """Dispatch to the requested metric ("euclidean" or "cosine")."""
-    try:
-        func = _METRIC_FUNCS[metric]
-    except KeyError:
-        raise DataValidationError(
-            f"unknown metric {metric!r}; expected one of {VALID_METRICS}"
-        ) from None
-    return func(a, b)
-
-
-def blocked_topk(
-    queries: np.ndarray,
-    corpus: np.ndarray,
-    k: int,
-    metric: str = "euclidean",
-    block_size: int = 2048,
-    exclude_self: bool = False,
-    dtype=None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact top-k search, blocked over query rows; returns ``(dist, idx)``.
-
-    The query-by-corpus product is formed at most ``block_size`` query
-    rows at a time (fewer when the block would pass the kernel's byte
-    budget), the top k selected per row (see
-    :meth:`~repro.knn.kernels.DistanceKernel.topk`) and the k winners
-    sorted and converted to true distances.  With ``exclude_self=True``
-    the queries must BE the corpus (same rows, same order): query
-    ``i``'s match against corpus column ``i`` is masked out
-    (leave-one-out mode), and a query set of another length raises
-    :class:`DataValidationError`.  ``dtype`` selects the compute
-    precision (``None`` = ``float64``).
-    """
-    return make_kernel(metric, corpus, dtype=dtype).topk(
-        queries, k, block_size=block_size, exclude_self=exclude_self
-    )
-
-
-def blocked_argmin_distance(
-    queries: np.ndarray,
-    corpus: np.ndarray,
-    metric: str = "euclidean",
-    block_size: int = 1024,
-    dtype=None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest corpus index and distance for each query, block by block.
-
-    Returns ``(indices, distances)`` with one entry per query row.  The
-    corpus is scanned in blocks of ``block_size`` rows so memory stays
-    bounded by ``len(queries) * block_size`` values.  ``dtype`` selects
-    the compute precision (``None`` = ``float64``).
-    """
-    corpus = np.asarray(corpus)
-    if len(corpus) == 0:
-        raise DataValidationError("corpus must contain at least one point")
-    kernel = make_kernel(metric, queries, dtype=dtype)
-    best_idx, best_cmp = kernel.nearest_among(corpus, block_size=block_size)
-    return best_idx, kernel.to_distance(best_cmp)

@@ -20,9 +20,10 @@ rows (cosine) are computed exactly once, so the thousands of
 side, and the comparison state is kept in *comparable* units (squared
 euclidean distance), deferring the ``sqrt`` to the rare callers that
 ask for true distances.  ``dtype`` selects the compute precision; the
-default ``float64`` reproduces the historical results bit-for-bit,
-while ``float32`` roughly doubles throughput (see
-``benchmarks/test_progressive_throughput.py``).
+default ``float64`` reproduces the historical results bit-for-bit
+(``TestFloat64LegacyParity`` in ``tests/test_knn_kernels.py`` pins the
+error curve to the legacy recompute-everything loop), while
+``float32`` halves the bytes each block moves.
 """
 
 from __future__ import annotations

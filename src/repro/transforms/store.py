@@ -18,7 +18,9 @@ Design
   over the same data (same seed) hits purely on content.  Transform
   tokens are themselves content-derived (a digest of the transform's
   pickled, fitted state), so the *same* transform rebuilt in another
-  process — or another run — addresses the *same* blocks.
+  process — or another run — addresses the *same* blocks.  A transform
+  that does not pickle gets a token unique to this store, and its
+  blocks never leave the hot tier.
 - **Two tiers.**  The *hot* tier maps block keys to in-process arrays
   under a byte-budgeted LRU.  The *spill* tier (``store_dir``) holds
   content-addressed files: every computed block is written through to
@@ -339,12 +341,12 @@ class EmbeddingStore:
         self._spill_hits = 0
         self._spill_writes = 0
         # Distinct transform objects get distinct tokens.  Tokens are
-        # content-derived when the transform pickles (stable across
-        # processes and runs — the basis of warm-from-disk cold starts)
-        # and session-unique otherwise.  Weak references guarantee a
-        # recycled id() can never alias two live transforms; a collected
-        # transform drops its token mapping and hot blocks.
-        self._tokens: dict[int, str] = {}
+        # content-derived strings when the transform pickles (stable
+        # across processes and runs — the basis of warm-from-disk cold
+        # starts) and session tuples otherwise.  Weak references
+        # guarantee a recycled id() can never alias two live transforms;
+        # a collected transform drops its token mapping and hot blocks.
+        self._tokens: dict[int, str | tuple] = {}
         self._token_refs: dict[int, weakref.ref] = {}
         self._token_counter = 0
         # Digest cache per (source, order) pair: (id(source), id(order)
@@ -404,6 +406,9 @@ class EmbeddingStore:
         if stop == start:
             return np.empty((0, transform.output_dim), dtype=self._block_dtype)
         token = self._transform_token(transform)
+        # A session token names nothing on disk: a store opened later
+        # restarts the counter behind it.
+        spill = self.store_dir is not None and isinstance(token, str)
         block_size = self.block_rows
         first = start // block_size
         last = (stop - 1) // block_size
@@ -425,7 +430,7 @@ class EmbeddingStore:
         # content-addressed and replaced atomically, so a concurrent
         # writer can only make a miss become a hit.
         spilled: dict[int, np.ndarray] = {}
-        if self.store_dir is not None and missing:
+        if spill and missing:
             still = []
             for block in missing:
                 array = self._load_spilled(keys[block])
@@ -439,9 +444,7 @@ class EmbeddingStore:
             self._hits += (last - first + 1) - len(missing)
             self._misses += len(missing)
             for block, array in spilled.items():
-                pieces[block] = self._insert_hot(
-                    keys[block], array, spilled=True
-                )
+                pieces[block] = self._insert_hot(keys[block], array)
         # Embed contiguous runs of missing blocks in one transform call
         # each, outside the lock so concurrent callers embed in parallel.
         for run_start, run_stop in _contiguous_runs(missing):
@@ -467,7 +470,7 @@ class EmbeddingStore:
             with self._lock:
                 for block in missing:
                     pieces[block] = self._insert_hot(
-                        keys[block], pieces[block]
+                        keys[block], pieces[block], write_through=spill
                     )
         parts = []
         for block in range(first, last + 1):
@@ -539,12 +542,12 @@ class EmbeddingStore:
         return array
 
     def _insert_hot(
-        self, key, array: np.ndarray, spilled: bool = False
+        self, key, array: np.ndarray, write_through: bool = False
     ) -> np.ndarray:
         """Insert one block (lock held); returns the canonical array.
 
-        A computed block (``spilled=False``) is written through to the
-        spill tier here, so eviction only ever drops.
+        A computed block is written through to the spill tier here
+        (``write_through``), so eviction only ever drops.
         """
         existing = self._blocks.get(key)
         if existing is not None:
@@ -552,7 +555,7 @@ class EmbeddingStore:
             return existing
         self._blocks[key] = array
         self._hold(array)
-        if self.store_dir is not None and not spilled:
+        if write_through:
             self._write_through(key, array)
         while self._bytes > self.max_bytes and self._blocks:
             _, evicted = self._blocks.popitem(last=False)
@@ -675,7 +678,7 @@ class EmbeddingStore:
             )
         return source
 
-    def _transform_token(self, transform) -> str:
+    def _transform_token(self, transform) -> str | tuple:
         with self._lock:
             key = id(transform)
             token = self._tokens.get(key)
@@ -690,7 +693,7 @@ class EmbeddingStore:
                 )
             return token
 
-    def _derive_token(self, transform) -> str:
+    def _derive_token(self, transform) -> str | tuple:
         """Content token when the transform pickles, session token else.
 
         A content token makes the key stable across processes and runs:
@@ -698,18 +701,20 @@ class EmbeddingStore:
         The block dtype is folded in so float32 and float64 stores never
         share payload files.  Unpicklable transforms (e.g. a test
         monkeypatching ``transform`` with a closure) fall back to a
-        session-unique token — correct, just not persistent.
+        ``(name, counter)`` session tuple, unique within this store
+        only; :meth:`embed_rows` keeps its blocks in the hot tier —
+        correct, just not persistent.
         """
         try:
             payload = pickle.dumps(transform, protocol=4)
         except Exception:
-            token = f"{transform.name}#~{self._token_counter}"
+            token = (transform.name, self._token_counter)
             self._token_counter += 1
             return token
         digest = hashlib.blake2b(payload, digest_size=12).hexdigest()
         return f"{transform.name}@{digest}/{self._block_dtype.str}"
 
-    def _drop_token(self, key: int, token: str) -> None:
+    def _drop_token(self, key: int, token: str | tuple) -> None:
         """Weakref purge: a transform died; its hot blocks are dropped.
 
         Spill files persist — they are the warm-start medium for an

@@ -123,6 +123,11 @@ def _count_class_transform_calls(monkeypatch, catalog):
     return counter
 
 
+#: A study with no store: every warm study must reproduce its report, so
+#: a store fault that a cold study through a store would share shows.
+STORELESS = SnoopyConfig(seed=0, embedding_cache_bytes=0)
+
+
 class TestWarmStore:
     def test_second_strategy_run_embeds_nothing(self, dataset, catalog):
         """A warm store serves a second strategy with zero transform calls.
@@ -147,24 +152,28 @@ class TestWarmStore:
         assert _report_fingerprint(report) == _report_fingerprint(cold)
 
     def test_rerun_same_system_embeds_nothing(self, dataset, catalog):
+        reference = Snoopy(catalog, STORELESS).run(dataset, 0.7)
         system = Snoopy(catalog, SnoopyConfig(seed=0))
         system.run(dataset, target_accuracy=0.7)
         counter = _count_transform_calls(catalog)
-        system.run(dataset, target_accuracy=0.7)
+        warm = system.run(dataset, target_accuracy=0.7)
         assert counter["calls"] == 0
+        assert _report_fingerprint(warm) == _report_fingerprint(reference)
 
     def test_warm_report_matches_cold(self, dataset, catalog):
-        cold = Snoopy(catalog, SnoopyConfig(seed=0)).run(dataset, 0.7)
+        """Both runs of one system reproduce the study with no store."""
+        cold = Snoopy(catalog, STORELESS).run(dataset, 0.7)
         system = Snoopy(catalog, SnoopyConfig(seed=0))
-        system.run(dataset, 0.7)
+        first = system.run(dataset, 0.7)
         warm = system.run(dataset, 0.7)
+        assert _report_fingerprint(first) == _report_fingerprint(cold)
         assert _report_fingerprint(warm) == _report_fingerprint(cold)
 
     def test_capped_study_on_primed_spill_dir_embeds_nothing(
         self, dataset, catalog, tmp_path, monkeypatch
     ):
         """Evicted blocks promote back from disk with zero transform calls."""
-        cold = Snoopy(catalog, SnoopyConfig(seed=0)).run(dataset, 0.7)
+        cold = Snoopy(catalog, STORELESS).run(dataset, 0.7)
         store_dir = str(tmp_path / "spill")
         prime = SnoopyConfig(seed=0, strategy="full", store_dir=store_dir)
         with Snoopy(catalog, prime) as system:

@@ -10,9 +10,10 @@ Four layers:
   zero-row rules;
 - a float64 regression suite proving the bound-kernel paths agree with
   the legacy recompute-everything paths bit-for-bit;
-- a hypothesis parity suite asserting the float32 compute path matches
-  float64 within tolerance (errors, top-k indices modulo ties) on the
-  brute-force index and the progressive evaluator.
+- a float32 parity suite: hypothesis cases asserting the float32
+  compute path matches float64 within tolerance (errors, top-k indices
+  modulo ties) on the brute-force index and the progressive evaluator,
+  and a recall check on a search that runs several query blocks.
 """
 
 import tracemalloc
@@ -34,12 +35,7 @@ from repro.knn.kernels import (
     make_kernel,
     resolve_dtype,
 )
-from repro.knn.metrics import (
-    blocked_argmin_distance,
-    blocked_topk,
-    cosine_distances,
-    pairwise_distances,
-)
+from repro.knn.metrics import cosine_distances, euclidean_distances
 from repro.knn.progressive import ProgressiveOneNN
 
 #: Tolerances for float32-vs-float64 agreement on O(1)-scale gaussians.
@@ -105,7 +101,7 @@ class TestFusedPrimitives:
         kernel = make_kernel("euclidean", rng.normal(size=(30, 5)), dtype=None)
         other = rng.normal(size=(100, 5))
         idx, cmp = kernel.nearest_among(other, block_size=7)
-        dense = pairwise_distances(kernel.bound, other)
+        dense = euclidean_distances(kernel.bound, other)
         np.testing.assert_array_equal(idx, np.argmin(dense, axis=1))
         np.testing.assert_allclose(
             kernel.to_distance(cmp), dense.min(axis=1), atol=1e-10
@@ -183,8 +179,6 @@ class TestBlockBudget:
         x = rng.normal(size=(20, 3))
         with pytest.raises(DataValidationError, match="block_size"):
             make_kernel("euclidean", x).topk(x, 2, block_size=block_size)
-        with pytest.raises(DataValidationError, match="block_size"):
-            blocked_topk(x, x, 2, block_size=block_size, exclude_self=True)
 
 
 def _unfused_nearest_among(kernel, other, block_size=2048):
@@ -413,17 +407,19 @@ class TestFusedMatchesUnfused:
         _assert_nearest_matches_unfused(kernel, rng.normal(size=(1250, 66)))
 
 
-def _legacy_blocked_topk(queries, corpus, k, metric, block_size, exclude_self):
-    """The historical blocked_topk, verbatim: full sqrt'd distance blocks."""
-    from repro.knn.metrics import iter_blocks
+#: The dense float64 reference of each metric.
+_DENSE = {"euclidean": euclidean_distances, "cosine": cosine_distances}
 
+
+def _legacy_topk(queries, corpus, k, metric, block_size, exclude_self):
+    """The historical blocked top-k, verbatim: full sqrt'd distance blocks."""
     queries = np.asarray(queries, dtype=np.float64)
     corpus = np.asarray(corpus, dtype=np.float64)
     n = len(queries)
     all_dist = np.empty((n, k))
     all_idx = np.empty((n, k), dtype=np.int64)
     for block in iter_blocks(n, block_size):
-        dist = pairwise_distances(queries[block], corpus, metric=metric)
+        dist = _DENSE[metric](queries[block], corpus)
         if exclude_self:
             dist[
                 np.arange(block.stop - block.start),
@@ -452,7 +448,7 @@ class _LegacyProgressive:
     def partial_fit(self, batch_x, batch_y):
         batch_x = np.asarray(batch_x, dtype=np.float64)
         batch_y = np.asarray(batch_y, dtype=np.int64)
-        dist = pairwise_distances(self._test_x, batch_x, metric=self.metric)
+        dist = _DENSE[self.metric](self._test_x, batch_x)
         local = np.argmin(dist, axis=1)
         local_dist = dist[np.arange(len(self._test_x)), local]
         improved = local_dist < self._nn_dist
@@ -471,25 +467,38 @@ class TestFloat64LegacyParity:
     def test_blocked_topk_bit_for_bit(self, rng, metric, exclude_self):
         x = rng.normal(size=(90, 6))
         queries = x if exclude_self else rng.normal(size=(40, 6))
-        legacy_dist, legacy_idx = _legacy_blocked_topk(
+        legacy_dist, legacy_idx = _legacy_topk(
             queries, x, 4, metric, 17, exclude_self
         )
-        dist, idx = blocked_topk(
-            queries, x, 4, metric=metric, block_size=17,
-            exclude_self=exclude_self,
+        dist, idx = make_kernel(metric, x, dtype=None).topk(
+            queries, 4, block_size=17, exclude_self=exclude_self
         )
         np.testing.assert_array_equal(idx, legacy_idx)
         np.testing.assert_array_equal(dist, legacy_dist)
 
-    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
-    def test_progressive_bit_for_bit(self, rng, metric):
-        test_x = rng.normal(size=(50, 7))
-        test_y = rng.integers(0, 4, 50)
+    @pytest.mark.parametrize(
+        "metric, num_test, dim, num_train, pull",
+        [
+            *(pytest.param(metric, 50, 7, 198, 33, id=metric)
+              for metric in ("euclidean", "cosine")),
+            # Wide rows: a 256-row pull's product spans four selection
+            # chunks, and its 1,200 rows end in a 176-row pull.
+            *(pytest.param(metric, 1000, 256, 1200, pull,
+                           id=f"{metric}-1000x256-pull{pull}")
+              for metric in ("euclidean", "cosine") for pull in (16, 256)),
+        ],
+    )
+    def test_progressive_bit_for_bit(
+        self, rng, metric, num_test, dim, num_train, pull
+    ):
+        test_x = rng.normal(size=(num_test, dim))
+        test_y = rng.integers(0, 4, num_test)
         legacy = _LegacyProgressive(test_x, test_y, metric=metric)
         bound = ProgressiveOneNN(test_x, test_y, metric=metric, dtype=None)
-        for _ in range(6):
-            batch_x = rng.normal(size=(33, 7))
-            batch_y = rng.integers(0, 4, 33)
+        for start in range(0, num_train, pull):
+            size = min(pull, num_train - start)
+            batch_x = rng.normal(size=(size, dim))
+            batch_y = rng.integers(0, 4, size)
             legacy_err = legacy.partial_fit(batch_x, batch_y)
             assert bound.partial_fit(batch_x, batch_y) == legacy_err
         np.testing.assert_array_equal(bound.nearest_indices, legacy._nn_index)
@@ -499,10 +508,11 @@ class TestFloat64LegacyParity:
     def test_blocked_argmin_take_along_axis_path(self, rng):
         queries = rng.normal(size=(30, 5))
         corpus = rng.normal(size=(100, 5))
-        idx, dist = blocked_argmin_distance(queries, corpus, block_size=7)
-        dense = pairwise_distances(queries, corpus)
+        kernel = make_kernel("euclidean", queries, dtype=None)
+        idx, cmp = kernel.nearest_among(corpus, block_size=7)
+        dense = euclidean_distances(queries, corpus)
         np.testing.assert_array_equal(idx, np.argmin(dense, axis=1))
-        np.testing.assert_array_equal(dist, dense.min(axis=1))
+        np.testing.assert_array_equal(kernel.to_distance(cmp), dense.min(axis=1))
 
 
 def _sq_tolerance(*row_sets) -> float:
@@ -534,7 +544,7 @@ def _tie_tolerant_topk_check(x, queries, k, dist64, idx64, dist32, idx32):
     np.testing.assert_allclose(
         dist32**2, dist64**2, rtol=F32_RTOL, atol=atol
     )
-    dense = pairwise_distances(queries, x)
+    dense = euclidean_distances(queries, x)
     chosen32 = np.take_along_axis(dense, idx32, axis=1)
     chosen64 = np.take_along_axis(dense, idx64, axis=1)
     np.testing.assert_allclose(
@@ -595,6 +605,24 @@ class TestFloat32Parity:
         strict = BruteForceKNN(dtype=None).fit(x, y)
         fast = BruteForceKNN(dtype="float32").fit(x, y)
         assert strict.loo_error(k=3) == fast.loo_error(k=3)
+
+    def test_recall_over_several_query_blocks(self):
+        # Each float32 block of 1,000 queries against 10,000 rows passes
+        # the byte budget, so the search runs several query blocks.
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(10_000, 64))
+        y = rng.integers(0, 10, len(x))
+        queries = rng.normal(size=(1_000, 64))
+        assert len(queries) * len(x) * 4 > kernels._BLOCK_BYTES
+        strict = BruteForceKNN(dtype=None).fit(x, y)
+        fast = BruteForceKNN(dtype="float32").fit(x, y)
+        for k in (1, 5):
+            _, idx64 = strict.kneighbors(queries, k=k)
+            _, idx32 = fast.kneighbors(queries, k=k)
+            # float32 finds the float64 neighbors, up to swaps between
+            # near-tied candidates.
+            found = idx32[:, :, None] == idx64[:, None, :]
+            assert found.sum() / idx64.size >= 0.99
 
     def test_cosine_float32_matches_reference(self, rng):
         a = rng.normal(size=(20, 8))

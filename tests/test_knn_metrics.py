@@ -1,17 +1,17 @@
-"""Unit tests for repro.knn.metrics."""
+"""Unit tests for the dense distance references, metric dispatch and blocks.
+
+The dense float64 references are also what the blocked kernels of
+``repro.knn.kernels`` must agree with, so ``TestDispatch`` and
+``TestBlocks`` check ``make_kernel`` against them.
+"""
 
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
 from repro.exceptions import DataValidationError
-from repro.knn.metrics import (
-    blocked_argmin_distance,
-    cosine_distances,
-    euclidean_distances,
-    iter_blocks,
-    pairwise_distances,
-)
+from repro.knn.kernels import iter_blocks, make_kernel
+from repro.knn.metrics import cosine_distances, euclidean_distances
 
 
 @pytest.fixture()
@@ -76,22 +76,26 @@ class TestCosine:
 
 
 class TestDispatch:
+    """``make_kernel`` maps a metric name onto that metric's distances."""
+
     def test_euclidean_dispatch(self, points):
         a, b = points
+        dist, idx = make_kernel("euclidean", b, dtype=None).topk(a, len(b))
         np.testing.assert_array_equal(
-            pairwise_distances(a, b, "euclidean"), euclidean_distances(a, b)
+            dist, np.take_along_axis(euclidean_distances(a, b), idx, axis=1)
         )
 
     def test_cosine_dispatch(self, points):
         a, b = points
+        dist, idx = make_kernel("cosine", b, dtype=None).topk(a, len(b))
         np.testing.assert_array_equal(
-            pairwise_distances(a, b, "cosine"), cosine_distances(a, b)
+            dist, np.take_along_axis(cosine_distances(a, b), idx, axis=1)
         )
 
     def test_unknown_metric_raises(self, points):
-        a, b = points
+        _, b = points
         with pytest.raises(DataValidationError, match="unknown metric"):
-            pairwise_distances(a, b, "manhattan")
+            make_kernel("manhattan", b)
 
 
 class TestBlocks:
@@ -109,11 +113,15 @@ class TestBlocks:
     def test_blocked_argmin_matches_dense(self, rng):
         queries = rng.normal(size=(30, 5))
         corpus = rng.normal(size=(100, 5))
-        idx, dist = blocked_argmin_distance(queries, corpus, block_size=7)
+        kernel = make_kernel("euclidean", queries, dtype=None)
+        idx, cmp = kernel.nearest_among(corpus, block_size=7)
         dense = euclidean_distances(queries, corpus)
         np.testing.assert_array_equal(idx, np.argmin(dense, axis=1))
-        np.testing.assert_allclose(dist, dense.min(axis=1), atol=1e-10)
+        np.testing.assert_allclose(
+            kernel.to_distance(cmp), dense.min(axis=1), atol=1e-10
+        )
 
     def test_blocked_argmin_empty_corpus_raises(self, rng):
+        kernel = make_kernel("euclidean", rng.normal(size=(3, 2)))
         with pytest.raises(DataValidationError):
-            blocked_argmin_distance(rng.normal(size=(3, 2)), np.zeros((0, 2)))
+            kernel.nearest_among(np.zeros((0, 2)))

@@ -6,7 +6,6 @@ import pytest
 from repro.exceptions import DataValidationError
 from repro.knn.brute_force import BruteForceKNN
 from repro.knn.kernels import make_kernel
-from repro.knn.metrics import blocked_topk
 from repro.knn.progressive import ProgressiveOneNN
 
 
@@ -54,8 +53,6 @@ class TestExcludeSelfMasking:
         # twelve would mask columns past the corpus.
         corpus = rng.normal(size=(10, 3))
         queries = corpus[rows]
-        with pytest.raises(DataValidationError, match="exclude_self"):
-            blocked_topk(queries, corpus, k=2, exclude_self=True)
         with pytest.raises(DataValidationError, match="exclude_self"):
             make_kernel("euclidean", corpus).topk(
                 queries, k=2, exclude_self=True

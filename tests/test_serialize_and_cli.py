@@ -253,56 +253,3 @@ class TestCLI:
         monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path))
         assert main(["store", "path"]) == 0
         assert capsys.readouterr().out.strip() == str(tmp_path)
-
-
-class TestCompareBaselinesUpdate:
-    @pytest.fixture()
-    def module(self, tmp_path, monkeypatch):
-        import importlib.util
-        import pathlib
-
-        spec = importlib.util.spec_from_file_location(
-            "compare_baselines",
-            pathlib.Path(__file__).parent.parent
-            / "benchmarks" / "compare_baselines.py",
-        )
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        monkeypatch.setattr(module, "FRESH_DIR", tmp_path / "fresh")
-        monkeypatch.setattr(module, "RESULTS_DIR", tmp_path / "results")
-        return module
-
-    def test_update_runs_tracked_benchmarks(self, module, capsys):
-        calls = []
-
-        def runner(cmd):
-            calls.append(cmd)
-            module.FRESH_DIR.mkdir()
-            for filename, *_ in module.TRACKED:
-                (module.FRESH_DIR / filename).write_text(f"new {filename}\n")
-            return 0
-
-        assert module.update_baselines(runner=runner) == 0
-        (command,) = calls
-        assert "pytest" in command
-        for filename, *_ in module.TRACKED:
-            assert module.SOURCES[filename] in command
-            # The fresh table was copied over the checked-in baseline.
-            promoted = module.RESULTS_DIR / filename
-            assert promoted.read_text() == f"new {filename}\n"
-        out = capsys.readouterr().out
-        assert "updated benchmarks/results/store_scaling.txt" in out
-
-    def test_update_promotes_other_fresh_tables(self, module):
-        module.FRESH_DIR.mkdir()
-        (module.FRESH_DIR / "fig9_end_to_end_cheap.txt").write_text("fig9\n")
-        assert module.update_baselines(runner=lambda cmd: 0) == 0
-        promoted = module.RESULTS_DIR / "fig9_end_to_end_cheap.txt"
-        assert promoted.read_text() == "fig9\n"
-
-    def test_failed_run_promotes_nothing(self, module):
-        module.FRESH_DIR.mkdir()
-        (module.FRESH_DIR / "store_scaling.txt").write_text("partial\n")
-        # A failing benchmark run propagates its exit code.
-        assert module.update_baselines(runner=lambda cmd: 3) == 3
-        assert not (module.RESULTS_DIR / "store_scaling.txt").exists()

@@ -1,8 +1,12 @@
-"""Tests for the EmbeddingStore's disk spill tier and lifecycle."""
+"""Tests for the EmbeddingStore's disk spill tier, its lifecycle and a
+warm restart of ``repro study`` in fresh interpreters."""
 
 import contextlib
 import json
 import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +23,8 @@ from repro.transforms.store import (
     clear_spill_dir,
     scan_spill_dir,
 )
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 class CountingTransform(IdentityTransform):
@@ -37,6 +43,18 @@ class CountingTransform(IdentityTransform):
     def transform(self, x):
         self.calls += 1
         return super().transform(x)
+
+
+class ScaledTransform(IdentityTransform):
+    """Scales rows through a lambda, so the transform does not pickle."""
+
+    def __init__(self, dim, scale):
+        super().__init__(dim)
+        self.name = "proj"
+        self.scale = lambda x: scale * x
+
+    def transform(self, x):
+        return self.scale(super().transform(x))
 
 
 @pytest.fixture()
@@ -237,6 +255,18 @@ class TestSpillTier:
             assert fresh.calls > 0  # recomputed, never crashed
             np.testing.assert_array_equal(result, data)
 
+    def test_session_tokens_stay_out_of_the_spill_tier(self, tmp_path, rng):
+        # Each store numbers its session tokens from 0, so the two
+        # transforms would share token and block ids on disk.
+        source = rng.normal(size=(512, 8))
+        with EmbeddingStore(store_dir=tmp_path) as store:
+            store.embed(ScaledTransform(8, scale=1.0), source)
+        with EmbeddingStore(store_dir=tmp_path) as store:
+            rows = store.embed(ScaledTransform(8, scale=100.0), source)
+            assert store.stats.spill_hits == 0
+        np.testing.assert_array_equal(rows, 100.0 * source)
+        assert _spill_files(tmp_path) == []
+
     def test_block_file_ids_are_stable_across_versions(self):
         # Spill file names are the persistence format: a spill dir
         # written by an earlier version must keep warm-starting, so the
@@ -244,6 +274,49 @@ class TestSpillTier:
         key = ("pca@0123456789abcdef01234567/<f4", bytes(range(16)))
         with EmbeddingStore() as store:
             assert store._block_id(key) == "7bc7430fcf4491e286506df8355bd52e"
+
+
+def _study_cli(*args):
+    """``repro study sst2`` in a fresh interpreter; its report, untimed."""
+    inherited = os.environ.get("PYTHONPATH")
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), inherited])),
+    }
+    result = subprocess.run(
+        [sys.executable, "-m", "repro", "study", "sst2", "--target", "0.9",
+         "--scale", "0.05", "--json", *args],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    del report["wall_seconds"]
+    return report
+
+
+class TestRestart:
+    def test_warm_restart_embeds_nothing_and_matches_no_store(self, tmp_path):
+        """A new process on a primed spill dir serves every block from disk.
+
+        Each study runs in its own interpreter.  A forked child would
+        inherit the parent's objects at their addresses, so a transform
+        token that varies between processes would look stable there.
+        The warm run's 1 MiB hot tier is below its working set, so its
+        blocks promote from disk.  A miss writes its block through, so
+        an unchanged set of block files means zero transform calls.  The
+        reference has no store, so a fault both store runs share shows.
+        """
+        reference = _study_cli("--embedding-cache-mb", "0")
+        store_dir = tmp_path / "spill"
+        cold = _study_cli("--store-dir", str(store_dir))
+        blocks = _spill_files(store_dir)
+        warm = _study_cli(
+            "--store-dir", str(store_dir), "--embedding-cache-mb", "1"
+        )
+        assert blocks
+        assert _spill_files(store_dir) == blocks
+        assert cold == reference
+        assert warm == reference
 
 
 class TestScanAndClear:
