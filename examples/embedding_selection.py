@@ -5,7 +5,8 @@ Demonstrates the Section V machinery directly:
 - how successive halving (with and without the tangent rule) spends far
   less simulated inference than evaluating every embedding fully, while
   selecting the same winner;
-- how the neighbor cache makes a post-cleaning re-run effectively free.
+- how the incremental state (each embedding's nearest neighbours plus
+  one copy of the labels) makes a post-cleaning re-run effectively free.
 
 Run:  python examples/embedding_selection.py
 """

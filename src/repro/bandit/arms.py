@@ -22,12 +22,7 @@ from repro.bandit.tangent import tangent_lower_bound
 from repro.exceptions import BudgetError, DataValidationError
 from repro.knn.progressive import ProgressiveOneNN
 from repro.transforms.base import FeatureTransform, fit_on
-from repro.transforms.store import (
-    EmbeddingStore,
-    check_order,
-    embed_or_transform,
-    take_rows,
-)
+from repro.transforms.store import EmbeddingStore, check_order, take_rows
 
 
 class TransformationArm:
@@ -45,9 +40,9 @@ class TransformationArm:
     metric:
         Distance metric for the exact 1NN evaluator.
     store:
-        Optional shared :class:`EmbeddingStore`; when given, every chunk
-        embedding is memoized, so sibling runs (another strategy, a
-        post-cleaning re-run) never recompute a transform output.
+        Optional shared :class:`EmbeddingStore`; when given, the test set
+        and every chunk are embedded through it, so a sibling run (another
+        strategy on the same data) recomputes no transform output.
     dtype:
         Compute dtype for the 1NN distance arithmetic
         ("float32"/"float64"; ``None`` keeps the strict float64 path).
@@ -97,8 +92,11 @@ class TransformationArm:
             self._pool_size = len(self._order)
         if self._pool_size == 0:
             raise DataValidationError("arm needs a non-empty training pool")
-        embedded_test = embed_or_transform(
-            store, transform, np.asarray(test_x, dtype=np.float64)
+        test_x = np.asarray(test_x, dtype=np.float64)
+        embedded_test = (
+            transform.transform(test_x)
+            if store is None
+            else store.embed(transform, test_x)
         )
         self.evaluator = ProgressiveOneNN(
             embedded_test, test_y, metric=metric, dtype=dtype
@@ -123,18 +121,6 @@ class TransformationArm:
     def current_loss(self) -> float:
         """Latest 1NN error; infinity before the first pull."""
         return self.losses[-1] if self.losses else np.inf
-
-    @property
-    def train_labels(self) -> np.ndarray:
-        """Labels of this arm's training pool, in pool order (copy)."""
-        if self._order is None:
-            return self._train_y.copy()
-        return self._train_y[self._order]
-
-    @property
-    def test_labels(self) -> np.ndarray:
-        """Current test labels as seen by the evaluator (copy)."""
-        return self.evaluator.test_labels
 
     def pull(self, num_samples: int) -> float:
         """Embed and ingest up to ``num_samples`` further training points.

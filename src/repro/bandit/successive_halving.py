@@ -38,7 +38,6 @@ class SelectionResult:
     winner: TransformationArm
     strategy: str
     total_samples: int
-    total_sim_cost: float
     samples_per_arm: dict[str, int]
     round_survivors: list[list[str]] = field(default_factory=list)
     pruned_by_tangent: list[str] = field(default_factory=list)
@@ -124,7 +123,6 @@ def successive_halving(
         strategy="successive_halving_tangent" if use_tangent else
         "successive_halving",
         total_samples=sum(arm.samples_used for arm in arms),
-        total_sim_cost=sum(arm.sim_cost for arm in arms),
         samples_per_arm={arm.name: arm.samples_used for arm in arms},
         round_survivors=history,
         pruned_by_tangent=pruned_names,

@@ -31,6 +31,5 @@ def uniform_allocation(
         winner=winner,
         strategy="uniform",
         total_samples=sum(arm.samples_used for arm in arms),
-        total_sim_cost=sum(arm.sim_cost for arm in arms),
         samples_per_arm={arm.name: arm.samples_used for arm in arms},
     )

@@ -21,7 +21,6 @@ import numpy as np
 from repro.baselines.mlp import TwoLayerMLP
 from repro.exceptions import DataValidationError
 from repro.rng import SeedLike, ensure_rng
-from repro.transforms.store import EmbeddingStore, embed_or_transform
 
 #: Simulated accelerator seconds per (sample x epoch) of fine-tuning a
 #: large model — orders of magnitude above embedding inference.
@@ -65,7 +64,6 @@ class FineTuneBaseline:
         num_epochs: int = 30,
         hidden_units: int = 128,
         seed: SeedLike = None,
-        store: EmbeddingStore | None = None,
     ):
         self.catalog = list(catalog)
         if not self.catalog:
@@ -73,7 +71,6 @@ class FineTuneBaseline:
         self.learning_rates = learning_rates
         self.num_epochs = num_epochs
         self.hidden_units = hidden_units
-        self.store = store
         self._seed = seed
 
     def backbone(self):
@@ -88,8 +85,8 @@ class FineTuneBaseline:
         backbone = self.backbone()
         if not backbone.fitted:
             backbone.fit(dataset.train_x)
-        train_f = embed_or_transform(self.store, backbone, dataset.train_x)
-        test_f = embed_or_transform(self.store, backbone, dataset.test_x)
+        train_f = backbone.transform(dataset.train_x)
+        test_f = backbone.transform(dataset.test_x)
         best_error = np.inf
         best_lr = self.learning_rates[0]
         for lr in self.learning_rates:

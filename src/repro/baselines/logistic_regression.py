@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.exceptions import DataValidationError
 from repro.rng import SeedLike, ensure_rng
-from repro.transforms.store import EmbeddingStore, embed_or_transform
 
 LEARNING_RATE_GRID = (0.001, 0.01, 0.1)
 L2_GRID = (0.0, 0.001, 0.01)
@@ -137,7 +136,6 @@ class LogisticRegressionBaseline:
         seed: SeedLike = None,
         learning_rates: tuple[float, ...] = LEARNING_RATE_GRID,
         l2_values: tuple[float, ...] = L2_GRID,
-        store: EmbeddingStore | None = None,
     ):
         self.catalog = list(catalog)
         if not self.catalog:
@@ -146,7 +144,6 @@ class LogisticRegressionBaseline:
         self.batch_size = batch_size
         self.learning_rates = learning_rates
         self.l2_values = l2_values
-        self.store = store
         self._seed = seed
 
     def run(self, dataset) -> LRBaselineResult:
@@ -159,8 +156,8 @@ class LogisticRegressionBaseline:
         for transform in self.catalog:
             if not transform.fitted:
                 transform.fit(dataset.train_x)
-            train_f = embed_or_transform(self.store, transform, dataset.train_x)
-            test_f = embed_or_transform(self.store, transform, dataset.test_x)
+            train_f = transform.transform(dataset.train_x)
+            test_f = transform.transform(dataset.test_x)
             sim_cost += transform.inference_cost(num_samples)
             best = np.inf
             for lr in self.learning_rates:

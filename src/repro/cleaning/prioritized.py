@@ -24,7 +24,6 @@ from repro.exceptions import DataValidationError
 from repro.knn.brute_force import BruteForceKNN
 from repro.rng import SeedLike, ensure_rng
 from repro.transforms.base import FeatureTransform
-from repro.transforms.store import EmbeddingStore, embed_or_transform
 
 
 def disagreement_scores(
@@ -32,22 +31,20 @@ def disagreement_scores(
     transform: FeatureTransform | None = None,
     k: int = 5,
     metric: str = "euclidean",
-    store: EmbeddingStore | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample label-suspicion scores in [0, 1] for (train, test).
 
     Higher = more likely mislabeled.  Scores are computed on the
     transformed features when a transform is given (recommended: the
-    winning embedding of a Snoopy run); passing the run's ``store``
-    reuses the embeddings that run already computed.
+    winning embedding of a Snoopy run).
     """
     if k < 1:
         raise DataValidationError("k must be >= 1")
     if transform is not None:
         if not transform.fitted:
             transform.fit(dataset.train_x)
-        train_f = embed_or_transform(store, transform, dataset.train_x)
-        test_f = embed_or_transform(store, transform, dataset.test_x)
+        train_f = transform.transform(dataset.train_x)
+        test_f = transform.transform(dataset.test_x)
     else:
         train_f, test_f = dataset.train_x, dataset.test_x
     # Exact search: suspicion scoring leans on leave-one-out queries.

@@ -30,7 +30,6 @@ from repro.core.result import FeasibilitySignal
 from repro.core.snoopy import Snoopy, SnoopyConfig
 from repro.exceptions import DataValidationError
 from repro.rng import SeedLike, ensure_rng
-from repro.transforms.store import EmbeddingStore, embed_or_transform
 
 #: Simulated seconds for one incremental Snoopy re-run (the paper reports
 #: 0.2 ms for 10K test x 50K train; we bill a conservative millisecond).
@@ -111,7 +110,6 @@ def run_with_feasibility_study(
     lr_epochs: int = 5,
     retrain_cooldown: int = 5,
     seed: SeedLike = None,
-    store: EmbeddingStore | None = None,
 ) -> CostTrace:
     """Feasibility-guided loop: cheap checks between 1% cleaning steps.
 
@@ -119,9 +117,7 @@ def run_with_feasibility_study(
     re-runs after the first full run) or ``"lr"`` (the proxy baseline,
     re-trained but never re-embedded).  ``retrain_cooldown`` is the
     number of cleaning steps the loop waits after a failed expensive run
-    before paying for another one.  ``store`` optionally shares one
-    :class:`EmbeddingStore` between the study and any other component
-    (e.g. the expensive trainer) touching the same catalog.
+    before paying for another one.
     """
     _check_target(target_accuracy)
     if catalog is None:
@@ -131,9 +127,9 @@ def run_with_feasibility_study(
             f"feasibility must be 'snoopy' or 'lr', got {feasibility!r}"
         )
     study = (
-        _SnoopyFeasibility(catalog, snoopy_config, store)
+        _SnoopyFeasibility(catalog, snoopy_config)
         if feasibility == "snoopy"
-        else _LRFeasibility(catalog, lr_epochs, seed, store)
+        else _LRFeasibility(catalog, lr_epochs, seed)
     )
     trace = CostTrace(strategy=f"fs_{feasibility}")
     dollars = 0.0
@@ -183,20 +179,14 @@ def _check_target(target_accuracy: float) -> None:
 class _SnoopyFeasibility:
     """Snoopy study: one full run, then incremental O(test) re-runs."""
 
-    def __init__(
-        self,
-        catalog,
-        config: SnoopyConfig | None,
-        store: EmbeddingStore | None = None,
-    ):
+    def __init__(self, catalog, config: SnoopyConfig | None):
         self._catalog = catalog
         self._config = config
-        self._store = store
         self._state = None
 
     def estimate(self, session: CleaningSession) -> tuple[float, float]:
         if self._state is None:
-            system = Snoopy(self._catalog, self._config, store=self._store)
+            system = Snoopy(self._catalog, self._config)
             report = system.run(session.current_dataset(), target_accuracy=1.0)
             self._state = system.incremental_state()
             return report.ber_estimate, report.total_sim_cost_seconds
@@ -216,17 +206,10 @@ class _SnoopyFeasibility:
 class _LRFeasibility:
     """LR-proxy study: embeddings computed once, grid re-trained per check."""
 
-    def __init__(
-        self,
-        catalog,
-        num_epochs: int,
-        seed: SeedLike,
-        store: EmbeddingStore | None = None,
-    ):
+    def __init__(self, catalog, num_epochs: int, seed: SeedLike):
         self._catalog = list(catalog)
         self._num_epochs = num_epochs
         self._rng = ensure_rng(seed)
-        self._store = store
         self._embedded: list[tuple[str, object, object, float]] | None = None
 
     def _embed(self, dataset) -> float:
@@ -240,8 +223,8 @@ class _LRFeasibility:
             self._embedded.append(
                 (
                     transform.name,
-                    embed_or_transform(self._store, transform, dataset.train_x),
-                    embed_or_transform(self._store, transform, dataset.test_x),
+                    transform.transform(dataset.train_x),
+                    transform.transform(dataset.test_x),
                     transform.inference_cost(total),
                 )
             )

@@ -132,8 +132,8 @@ def _add_store_args(parser: argparse.ArgumentParser) -> None:
 def _add_cache_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--embedding-cache-mb", type=int, default=256,
-        help="shared embedding-store budget in MiB; 0 disables caching "
-        "(default 256)",
+        help="the study's embedding-store budget in MiB; 0 disables "
+        "caching (default 256)",
     )
     parser.add_argument(
         "--dtype", choices=VALID_COMPUTE_DTYPES,
@@ -253,7 +253,6 @@ def _cmd_clean_loop(args: argparse.Namespace) -> int:
     from repro.cleaning.costs import CostModel
     from repro.cleaning.simulator import CleaningSession
     from repro.cleaning.strategies import run_with_feasibility_study
-    from repro.transforms.store import EmbeddingStore
 
     dataset = _prepare_dataset(args, args.noise)
     if not dataset.is_noisy:
@@ -261,26 +260,19 @@ def _cmd_clean_loop(args: argparse.Namespace) -> int:
         return 2
     catalog = catalog_for(dataset, seed=args.seed, max_embeddings=6)
     catalog.fit(dataset.train_x)
-    # One store shared by the feasibility study and the expensive
-    # trainer: the test-split embedding is shared between them, and any
-    # repeated expensive run (cooldown retries; features never change,
-    # only labels) re-embeds nothing.  Train-pool blocks are not shared
-    # across the two — the study embeds the *permuted* pool.
-    store = (
-        EmbeddingStore(args.embedding_cache_mb * 2**20, dtype=args.dtype)
-        if args.embedding_cache_mb
-        else None
-    )
     trainer = FineTuneBaseline(
-        catalog, learning_rates=(0.05,), num_epochs=12, seed=args.seed,
-        store=store,
+        catalog, learning_rates=(0.05,), num_epochs=12, seed=args.seed
+    )
+    config = SnoopyConfig(
+        seed=args.seed,
+        embedding_cache_bytes=args.embedding_cache_mb * 2**20,
+        compute_dtype=args.dtype,
     )
     trace = run_with_feasibility_study(
         CleaningSession(dataset, rng=args.seed), trainer,
         args.target, CostModel.for_regime(args.regime),
         feasibility="snoopy", catalog=catalog, clean_step=args.step,
-        snoopy_config=SnoopyConfig(seed=args.seed, compute_dtype=args.dtype),
-        store=store,
+        snoopy_config=config,
     )
     rows = [
         [p.action, f"{100 * p.fraction_examined:.1f}%",

@@ -7,7 +7,8 @@
 - :mod:`repro.core.guidance` — the additional numerical aids of Section
   IV-C: the log-linear convergence fit and the samples-to-target
   extrapolation.
-- :mod:`repro.core.incremental` — real-time re-runs after label cleaning.
+- :mod:`repro.core.incremental` — real-time re-runs after label cleaning:
+  each transformation's nearest neighbours and one copy of the labels.
 """
 
 from repro.core.aggregation import (
@@ -38,7 +39,7 @@ from repro.core.result import (
     FeasibilitySignal,
     TransformResult,
 )
-from repro.core.snoopy import RunContext, Snoopy, SnoopyConfig
+from repro.core.snoopy import Snoopy, SnoopyConfig
 
 __all__ = [
     "BEREstimate",
@@ -54,7 +55,6 @@ __all__ = [
     "IncrementalState",
     "LogLinearFit",
     "RegimeQuantities",
-    "RunContext",
     "Snoopy",
     "SnoopyConfig",
     "TransformResult",

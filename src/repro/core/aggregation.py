@@ -27,7 +27,6 @@ from repro.estimators.de_knn import DeKNNEstimator
 from repro.exceptions import DataValidationError
 from repro.knn.progressive import ProgressiveOneNN
 from repro.rng import SeedLike, ensure_rng
-from repro.transforms.store import EmbeddingStore, embed_or_transform
 
 
 def aggregate_min(estimates: dict[str, BEREstimate]) -> tuple[str, BEREstimate]:
@@ -95,7 +94,6 @@ def estimate_regime_quantities(
     plug_in_k: int = 25,
     metric: str = "euclidean",
     rng: SeedLike = None,
-    store: EmbeddingStore | None = None,
 ) -> RegimeQuantities:
     """Measure (Delta_f, delta_f, gamma_{f,n}) on a known-BER dataset.
 
@@ -117,8 +115,8 @@ def estimate_regime_quantities(
     rng = ensure_rng(rng)
     if not transform.fitted:
         transform.fit(dataset.train_x)
-    train_f = embed_or_transform(store, transform, dataset.train_x)
-    test_f = embed_or_transform(store, transform, dataset.test_x)
+    train_f = transform.transform(dataset.train_x)
+    test_f = transform.transform(dataset.test_x)
     num_classes = dataset.num_classes
     # Convergence curve of the Cover–Hart estimate.
     order = rng.permutation(len(train_f))

@@ -12,22 +12,21 @@ Given a dataset and a target accuracy, Snoopy:
 4. emits the binary REALISTIC/UNREALISTIC signal plus the additional
    guidance of Section IV-C (convergence curves, gap to target, Eq. 10
    samples-to-target extrapolation), and
-5. retains per-transformation neighbor caches so that re-running after
-   label cleaning is O(test) (Section V, Figure 13).
+5. remembers its last run's pool order and arms, so that re-running
+   after label cleaning is O(test) (Section V, Figure 13).
 
-A run is a staged pipeline — **prepare → allocate → aggregate → guide**
-— over a shared :class:`RunContext`.  The allocate phase runs each
-round's independent arm pulls through a
-:class:`repro.core.engine.RoundScheduler`, and every embedding flows
-through a shared :class:`repro.transforms.store.EmbeddingStore`, so a
-second strategy run or a post-cleaning re-run never recomputes a
-transform output.
+:meth:`Snoopy.run` keeps a run's pool order, arms, selection and
+per-transform results as local values.  Each allocation round pulls its
+arms through a :class:`repro.core.engine.RoundScheduler`.  The system's
+:class:`repro.transforms.store.EmbeddingStore`, owned or shared, serves
+every embedding, so a second run over the same catalog and data
+recomputes no transform output.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +47,6 @@ from repro.estimators.base import BEREstimate
 from repro.estimators.confidence import ber_estimate_interval
 from repro.estimators.cover_hart import cover_hart_lower_bound
 from repro.exceptions import ConvergenceError, DataValidationError
-from repro.knn.incremental import NeighborCache
 from repro.knn.kernels import DEFAULT_COMPUTE_DTYPE, resolve_dtype
 from repro.rng import ensure_rng
 from repro.transforms.store import DEFAULT_CACHE_BYTES, EmbeddingStore
@@ -165,48 +163,6 @@ class SnoopyConfig:
         resolve_dtype(self.compute_dtype)  # fail fast on an unknown dtype
 
 
-@dataclass
-class RunContext:
-    """Mutable state threaded through the run phases.
-
-    ``prepare`` fills the inputs (metric, permutation, arms),
-    ``allocate`` the :class:`SelectionResult`, ``aggregate`` the
-    per-transform estimates/curves and the winning aggregate, and
-    ``guide`` consumes everything to assemble the report.
-    """
-
-    dataset: object
-    target_accuracy: float
-    config: SnoopyConfig
-    started: float
-    metric: str = ""
-    order: np.ndarray | None = None
-    arms: list[TransformationArm] = field(default_factory=list)
-    selection: SelectionResult | None = None
-    estimates: dict[str, BEREstimate] = field(default_factory=dict)
-    per_transform: list[TransformResult] = field(default_factory=list)
-    curves: dict[str, ConvergenceCurve] = field(default_factory=dict)
-    best_name: str = ""
-    best_estimate: BEREstimate | None = None
-
-    @property
-    def pull_size(self) -> int:
-        if self.config.pull_size is None:
-            return max(16, self.dataset.num_train // 20)
-        return self.config.pull_size
-
-
-@dataclass
-class _RunState:
-    """Internal artifacts of the last run, kept for incremental re-runs."""
-
-    arms: list[TransformationArm]
-    order: np.ndarray  # permutation: shuffled position -> original index
-    num_classes: int
-    dataset_name: str = ""
-    caches: dict[str, NeighborCache] = field(default_factory=dict)
-
-
 class Snoopy:
     """The feasibility-study system.
 
@@ -249,7 +205,8 @@ class Snoopy:
             self._owns_store = True
         else:
             self.store = None
-        self._state: _RunState | None = None
+        # (dataset, pool order, arms) of the last run, for incremental_state.
+        self._last_run: tuple | None = None
 
     def close(self) -> None:
         """Drop the owned store's hot tier; idempotent.
@@ -266,104 +223,107 @@ class Snoopy:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # ------------------------------------------------------------------
-    # Main entry point
-    # ------------------------------------------------------------------
-
     def run(self, dataset, target_accuracy: float) -> FeasibilityReport:
-        """Perform the feasibility study and return the full report.
-
-        The run is a staged pipeline over a :class:`RunContext`:
-        prepare → allocate → aggregate → guide.
-        """
-        ctx = self._prepare(dataset, target_accuracy)
-        self._allocate(ctx)
-        self._aggregate(ctx)
-        report = self._guide(ctx)
-        self._state = _RunState(
-            arms=ctx.arms,
-            order=ctx.order,
-            num_classes=dataset.num_classes,
-            dataset_name=dataset.name,
-        )
-        return report
-
-    def incremental_state(self) -> IncrementalState:
-        """Neighbor-cache state of the last run, for real-time re-runs.
-
-        Nearest-neighbor indices are translated back to *original*
-        training-set positions, so cleaning indices from the dataset
-        space apply directly.
-        """
-        if self._state is None:
-            raise DataValidationError("no completed run; call run() first")
-        state = self._state
-        if not state.caches:
-            for arm in state.arms:
-                shuffled_nn = arm.evaluator.nearest_indices
-                original_nn = state.order[shuffled_nn]
-                train_labels = np.empty(len(state.order), dtype=np.int64)
-                train_labels[state.order] = arm.train_labels
-                state.caches[arm.name] = NeighborCache(
-                    original_nn,
-                    train_labels,
-                    arm.test_labels,
-                )
-        return IncrementalState(dict(state.caches), state.num_classes)
-
-    # ------------------------------------------------------------------
-    # Phase 1: prepare — validate, permute, fit, build arms
-    # ------------------------------------------------------------------
-
-    def _prepare(self, dataset, target_accuracy: float) -> RunContext:
+        """Perform the feasibility study and return the full report."""
         if not 0.0 < target_accuracy <= 1.0:
             raise DataValidationError(
                 f"target_accuracy must be in (0, 1], got {target_accuracy}"
             )
+        started = time.perf_counter()
         config = self.config
-        ctx = RunContext(
-            dataset=dataset,
-            target_accuracy=target_accuracy,
-            config=config,
-            started=time.perf_counter(),
-        )
-        ctx.metric = self._resolve_metric(dataset)
-        rng = ensure_rng(config.seed)
-        ctx.order = rng.permutation(dataset.num_train)
-        ctx.arms = build_arms(
+        order = ensure_rng(config.seed).permutation(dataset.num_train)
+        arms = build_arms(
             self.catalog,
             dataset,
-            ctx.order,
-            metric=ctx.metric,
+            order,
+            metric=self._resolve_metric(dataset),
             store=self.store,
             dtype=config.compute_dtype,
         )
-        return ctx
+        selection = self._allocate(arms, dataset.num_train)
+        results = [
+            _arm_result(arm, dataset.num_classes, dataset.num_test)
+            for arm in arms
+            if arm.losses
+        ]
+        per_transform = [result for result, _ in results]
+        curves = {curve.transform_name: curve for _, curve in results}
+        best_name, best = aggregate_min(
+            {r.transform_name: r.estimate for r in per_transform}
+        )
+        target_error = 1.0 - target_accuracy
+        # The signal is "confident" when the same decision holds at both
+        # ends of the winning estimate's Wilson band (Section IV-C's
+        # trust theme, quantified).
+        low = best.details["confidence_low"]
+        high = best.details["confidence_high"]
+        signal_confident = (low <= target_error) == (high <= target_error)
+        self._last_run = (dataset, order, arms)
+        return FeasibilityReport(
+            dataset_name=dataset.name,
+            target_accuracy=target_accuracy,
+            signal=(
+                FeasibilitySignal.REALISTIC
+                if best.value <= target_error
+                else FeasibilitySignal.UNREALISTIC
+            ),
+            ber_estimate=best.value,
+            best_transform=best_name,
+            gap=target_error - best.value,
+            per_transform=per_transform,
+            curves=curves,
+            extrapolation=_extrapolate(curves[best_name], target_error),
+            strategy=selection.strategy,
+            total_sim_cost_seconds=sum(arm.sim_cost for arm in arms),
+            wall_seconds=time.perf_counter() - started,
+            signal_confident=bool(signal_confident),
+        )
+
+    def incremental_state(self) -> IncrementalState:
+        """Label-cleaning state of the last run, for real-time re-runs.
+
+        Each pulled arm's nearest-neighbour indices are translated back
+        to *original* training-set positions, so cleaning indices from
+        the dataset space apply directly.  Every call returns an
+        independent state with its own copy of the dataset's labels.
+        """
+        if self._last_run is None:
+            raise DataValidationError("no completed run; call run() first")
+        dataset, order, arms = self._last_run
+        return IncrementalState(
+            {
+                arm.name: order[arm.evaluator.nearest_indices]
+                for arm in arms
+                if arm.losses
+            },
+            dataset.train_y,
+            dataset.test_y,
+            dataset.num_classes,
+        )
 
     def _resolve_metric(self, dataset) -> str:
         if self.config.metric != "auto":
             return self.config.metric
         return "cosine" if dataset.modality == "text" else "euclidean"
 
-    # ------------------------------------------------------------------
-    # Phase 2: allocate — spend the sample budget across arms
-    # ------------------------------------------------------------------
-
-    def _allocate(self, ctx: RunContext) -> None:
+    def _allocate(
+        self, arms: list[TransformationArm], num_train: int
+    ) -> SelectionResult:
+        """Spend the sample budget across ``arms``, then exhaust the winner."""
         config = self.config
-        arms = ctx.arms
-        num_train = ctx.dataset.num_train
-        pull_size = ctx.pull_size
+        pull_size = (
+            max(16, num_train // 20)
+            if config.pull_size is None
+            else config.pull_size
+        )
         rounds = max(1, int(np.ceil(np.log2(len(arms)))))
         budget = num_train * rounds
         if config.strategy == "full":
             RoundScheduler().exhaust(arms, pull_size)
-            winner = min(arms, key=lambda arm: arm.current_loss)
-            ctx.selection = SelectionResult(
-                winner=winner,
+            selection = SelectionResult(
+                winner=min(arms, key=lambda arm: arm.current_loss),
                 strategy="full",
                 total_samples=sum(arm.samples_used for arm in arms),
-                total_sim_cost=sum(arm.sim_cost for arm in arms),
                 samples_per_arm={arm.name: arm.samples_used for arm in arms},
             )
         elif config.strategy == "perfect":
@@ -376,118 +336,66 @@ class Snoopy:
                     f"perfect_arm_name {config.perfect_arm_name!r} not in catalog"
                 )
             winner.exhaust(pull_size)
-            ctx.selection = SelectionResult(
+            selection = SelectionResult(
                 winner=winner,
                 strategy="perfect",
                 total_samples=winner.samples_used,
-                total_sim_cost=winner.sim_cost,
                 samples_per_arm={winner.name: winner.samples_used},
             )
         elif config.strategy == "uniform":
-            ctx.selection = uniform_allocation(
-                arms, budget, pull_size=pull_size
-            )
+            selection = uniform_allocation(arms, budget, pull_size=pull_size)
         else:
-            ctx.selection = successive_halving(
+            selection = successive_halving(
                 arms,
                 budget,
                 pull_size=pull_size,
                 use_tangent=config.strategy == "successive_halving_tangent",
             )
-        if not ctx.selection.winner.exhausted:
-            ctx.selection.winner.exhaust()
+        if not selection.winner.exhausted:
+            selection.winner.exhaust()
+        return selection
 
-    # ------------------------------------------------------------------
-    # Phase 3: aggregate — per-arm estimates, curves, min-aggregation
-    # ------------------------------------------------------------------
 
-    def _aggregate(self, ctx: RunContext) -> None:
-        num_classes = ctx.dataset.num_classes
-        num_test = ctx.dataset.num_test
-        for arm in ctx.arms:
-            if not arm.losses:
-                continue
-            error = arm.current_loss
-            lower = cover_hart_lower_bound(error, num_classes)
-            interval = ber_estimate_interval(error, num_test, num_classes)
-            estimate = BEREstimate(
-                value=lower,
-                lower=lower,
-                upper=error,
-                details={
-                    "one_nn_error": error,
-                    "samples": arm.samples_used,
-                    "confidence_low": interval.low,
-                    "confidence_high": interval.high,
-                },
-            )
-            ctx.estimates[arm.name] = estimate
-            ctx.per_transform.append(
-                TransformResult(
-                    transform_name=arm.name,
-                    samples_used=arm.samples_used,
-                    one_nn_error=error,
-                    estimate=estimate,
-                    sim_cost_seconds=arm.sim_cost,
-                )
-            )
-            sizes, errors = arm.loss_curve()
-            curve_estimates = np.array(
-                [cover_hart_lower_bound(e, num_classes) for e in errors]
-            )
-            ctx.curves[arm.name] = ConvergenceCurve(
-                arm.name, sizes, errors, curve_estimates
-            )
-        ctx.best_name, ctx.best_estimate = aggregate_min(ctx.estimates)
+def _arm_result(
+    arm: TransformationArm, num_classes: int, num_test: int
+) -> tuple[TransformResult, ConvergenceCurve]:
+    """A pulled arm's Cover–Hart estimate and its convergence curve."""
+    error = arm.current_loss
+    lower = cover_hart_lower_bound(error, num_classes)
+    interval = ber_estimate_interval(error, num_test, num_classes)
+    estimate = BEREstimate(
+        value=lower,
+        lower=lower,
+        upper=error,
+        details={
+            "one_nn_error": error,
+            "samples": arm.samples_used,
+            "confidence_low": interval.low,
+            "confidence_high": interval.high,
+        },
+    )
+    result = TransformResult(
+        transform_name=arm.name,
+        samples_used=arm.samples_used,
+        one_nn_error=error,
+        estimate=estimate,
+        sim_cost_seconds=arm.sim_cost,
+    )
+    sizes, errors = arm.loss_curve()
+    curve_estimates = np.array(
+        [cover_hart_lower_bound(e, num_classes) for e in errors]
+    )
+    return result, ConvergenceCurve(arm.name, sizes, errors, curve_estimates)
 
-    # ------------------------------------------------------------------
-    # Phase 4: guide — signal, trust band, extrapolation, report
-    # ------------------------------------------------------------------
 
-    def _guide(self, ctx: RunContext) -> FeasibilityReport:
-        best_estimate = ctx.best_estimate
-        target_error = 1.0 - ctx.target_accuracy
-        signal = (
-            FeasibilitySignal.REALISTIC
-            if best_estimate.value <= target_error
-            else FeasibilitySignal.UNREALISTIC
+def _extrapolate(
+    curve: ConvergenceCurve, target_error: float
+) -> ExtrapolationResult | None:
+    if not 0.0 < target_error < 1.0:
+        return None
+    try:
+        return extrapolate_samples_needed(
+            curve.transform_name, curve.sizes, curve.errors, target_error
         )
-        # The signal is "confident" when the same decision holds at both
-        # ends of the winning estimate's Wilson band (Section IV-C's
-        # trust theme, quantified).
-        low = best_estimate.details["confidence_low"]
-        high = best_estimate.details["confidence_high"]
-        signal_confident = bool(
-            (low <= target_error) == (high <= target_error)
-        )
-        extrapolation = self._extrapolate(
-            ctx.curves.get(ctx.best_name), target_error
-        )
-        return FeasibilityReport(
-            dataset_name=ctx.dataset.name,
-            target_accuracy=ctx.target_accuracy,
-            signal=signal,
-            ber_estimate=best_estimate.value,
-            best_transform=ctx.best_name,
-            gap=target_error - best_estimate.value,
-            per_transform=ctx.per_transform,
-            curves=ctx.curves,
-            extrapolation=extrapolation,
-            strategy=ctx.selection.strategy,
-            total_sim_cost_seconds=sum(arm.sim_cost for arm in ctx.arms),
-            wall_seconds=time.perf_counter() - ctx.started,
-            signal_confident=signal_confident,
-        )
-
-    @staticmethod
-    def _extrapolate(
-        curve: ConvergenceCurve | None, target_error: float
-    ) -> ExtrapolationResult | None:
-        if curve is None or not 0.0 < target_error < 1.0:
-            return None
-        try:
-            return extrapolate_samples_needed(
-                curve.transform_name, curve.sizes, curve.errors, target_error
-            )
-        except ConvergenceError:
-            return None
+    except ConvergenceError:
+        return None

@@ -13,7 +13,6 @@ from repro.noise.models import inject_uniform_noise
 from repro.noise.theory import ber_after_uniform_noise
 from repro.rng import SeedLike, ensure_rng
 from repro.transforms.base import FeatureTransform
-from repro.transforms.store import embed_or_transform
 
 
 @dataclass(frozen=True)
@@ -83,30 +82,21 @@ def evaluate_estimator_over_noise(
     rhos: tuple[float, ...] = (0.0, 0.1, 0.2, 0.4, 0.6, 0.8),
     transform: FeatureTransform | None = None,
     rng: SeedLike = None,
-    store=None,
 ) -> EstimatorEvaluation:
     """Run the FeeBee protocol: estimate at each uniform-noise level.
 
     Requires a dataset with a ground-truth oracle; the true noisy BER at
     each level comes from Lemma 2.1 applied to the oracle's clean BER.
-    An optional :class:`repro.transforms.store.EmbeddingStore` reuses
-    embeddings across estimators evaluated on the same splits.
     """
     if dataset.oracle is None:
         raise DataValidationError("FeeBee evaluation needs an oracle dataset")
     rng = ensure_rng(rng)
-    if transform is not None and not transform.fitted:
-        transform.fit(dataset.train_x)
-    train_x = (
-        dataset.train_x
-        if transform is None
-        else embed_or_transform(store, transform, dataset.train_x)
-    )
-    test_x = (
-        dataset.test_x
-        if transform is None
-        else embed_or_transform(store, transform, dataset.test_x)
-    )
+    train_x, test_x = dataset.train_x, dataset.test_x
+    if transform is not None:
+        if not transform.fitted:
+            transform.fit(train_x)
+        train_x = transform.transform(train_x)
+        test_x = transform.transform(test_x)
     clean_ber = dataset.oracle.true_ber
     points = []
     for rho in rhos:

@@ -16,16 +16,15 @@ error estimate in the paper:
 - :mod:`repro.knn.progressive` — a streaming 1NN evaluator that ingests
   training data in batches and maintains the exact test error after
   every batch through the bound kernel's ``nearest_among``; this powers
-  the convergence curves and the bandit arms.
-- :mod:`repro.knn.incremental` — the neighbor cache that makes
-  re-running Snoopy after label cleaning an O(test) operation
+  the convergence curves and the bandit arms.  Its nearest indices
+  also feed :class:`repro.core.incremental.IncrementalState`, which
+  makes re-running Snoopy after label cleaning an O(test) operation
   (Section V of the paper: cleaning labels never moves a nearest
   neighbor).
 """
 
 from repro.knn.base import KNNIndex, majority_vote
 from repro.knn.brute_force import BruteForceKNN
-from repro.knn.incremental import NeighborCache
 from repro.knn.kernels import (
     DEFAULT_COMPUTE_DTYPE,
     VALID_COMPUTE_DTYPES,
@@ -47,7 +46,6 @@ __all__ = [
     "DistanceKernel",
     "EuclideanKernel",
     "KNNIndex",
-    "NeighborCache",
     "ProgressiveOneNN",
     "cosine_distances",
     "euclidean_distances",

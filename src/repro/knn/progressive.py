@@ -104,11 +104,6 @@ class ProgressiveOneNN:
         return self._train_seen
 
     @property
-    def test_labels(self) -> np.ndarray:
-        """Current test labels — the error's ground truth (copy)."""
-        return self._test_y.copy()
-
-    @property
     def nearest_labels(self) -> np.ndarray:
         """Current nearest-neighbor label per test point (copy)."""
         return self._nn_label.copy()

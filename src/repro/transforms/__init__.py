@@ -33,11 +33,7 @@ from repro.transforms.linear import (
 )
 from repro.transforms.nca import NCATransform
 from repro.transforms.pretrained import SimulatedEmbedding
-from repro.transforms.store import (
-    EmbeddingStore,
-    StoreStats,
-    embed_or_transform,
-)
+from repro.transforms.store import EmbeddingStore, StoreStats
 
 __all__ = [
     "EmbeddingSpec",
@@ -53,7 +49,6 @@ __all__ = [
     "StoreStats",
     "TEXT_EMBEDDINGS",
     "VISION_EMBEDDINGS",
-    "embed_or_transform",
     "fit_on",
     "is_supervised",
     "text_catalog",

@@ -1,11 +1,10 @@
 """Shared embedding memoization: in-memory hot tier + disk spill tier.
 
 Feature extraction dominates a feasibility study's runtime (Section V of
-the paper), yet the same chunk of training data is embedded by the same
-transformation again and again: once per allocation strategy compared,
-once more by the winner top-up, once more by every baseline that wants
-the full representation, and once more by the post-cleaning re-run path.
-The :class:`EmbeddingStore` removes all of that repeated work.
+the paper), yet studies that share data and a catalog embed the same
+chunks with the same transformations again and again: once per
+allocation strategy compared, and once more by every restart of the
+same study.  The :class:`EmbeddingStore` removes that repeated work.
 
 Design
 ------
@@ -813,15 +812,6 @@ def _owner(array: np.ndarray) -> np.ndarray:
     while isinstance(array.base, np.ndarray):
         array = array.base
     return array
-
-
-def embed_or_transform(
-    store: EmbeddingStore | None, transform, x: np.ndarray
-) -> np.ndarray:
-    """Embed through ``store`` when one is attached, else directly."""
-    if store is None:
-        return transform.transform(x)
-    return store.embed(transform, x)
 
 
 def _contiguous_runs(blocks: list[int]) -> list[tuple[int, int]]:

@@ -116,7 +116,8 @@ class TestArms:
             assert through_order.pull(size) == materialized.pull(size)
         assert through_order.exhausted
         np.testing.assert_array_equal(
-            through_order.train_labels, materialized.train_labels
+            through_order.evaluator.nearest_labels,
+            materialized.evaluator.nearest_labels,
         )
 
     @pytest.mark.parametrize(

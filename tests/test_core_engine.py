@@ -78,9 +78,8 @@ class TestBackendParity:
             array.setflags(write=False)
         system = Snoopy(catalog, SnoopyConfig(seed=0))
         system.run(frozen, 0.7)
-        assert all(
-            arm._train_x is frozen.train_x for arm in system._state.arms
-        )
+        _, _, arms = system._last_run
+        assert all(arm._train_x is frozen.train_x for arm in arms)
 
     def test_store_disabled_still_runs(self, dataset, catalog):
         config = SnoopyConfig(seed=0, embedding_cache_bytes=0)
@@ -204,31 +203,3 @@ class TestConfigValidation:
         with pytest.raises(DataValidationError):
             SnoopyConfig(embedding_cache_bytes=-1)
 
-
-class TestPublicLabelAccessors:
-    """The incremental path reads labels through public properties now."""
-
-    def test_arm_label_properties(self, dataset, catalog):
-        from repro.bandit.arms import build_arms
-
-        order = np.random.default_rng(0).permutation(dataset.num_train)
-        arms = build_arms(list(catalog)[:1], dataset, order)
-        arm = arms[0]
-        arm.pull(50)
-        train = arm.train_labels
-        test = arm.test_labels
-        assert len(train) == dataset.num_train
-        assert np.array_equal(test, dataset.test_y)
-        # Copies: mutating the returned arrays must not touch arm state.
-        train[:] = -1
-        test[:] = -1
-        assert not np.array_equal(arm.train_labels, train)
-        assert not np.array_equal(arm.test_labels, test)
-
-    def test_progressive_test_labels_copy(self, dataset):
-        from repro.knn.progressive import ProgressiveOneNN
-
-        evaluator = ProgressiveOneNN(dataset.test_x, dataset.test_y)
-        labels = evaluator.test_labels
-        labels[:] = -1
-        assert np.array_equal(evaluator.test_labels, dataset.test_y)

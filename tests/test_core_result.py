@@ -13,7 +13,6 @@ from repro.core.result import (
 )
 from repro.estimators.cover_hart import cover_hart_lower_bound
 from repro.exceptions import DataValidationError, EstimatorError
-from repro.knn.incremental import NeighborCache
 
 
 class TestBEREstimate:
@@ -81,17 +80,14 @@ class TestFeasibilityReport:
 class TestIncrementalState:
     @pytest.fixture()
     def state(self, rng):
-        caches = {}
-        for name in ("a", "b"):
-            nn = rng.integers(0, 50, size=20)
-            train_labels = rng.integers(0, 3, size=50)
-            test_labels = rng.integers(0, 3, size=20)
-            caches[name] = NeighborCache(nn, train_labels, test_labels)
-        return IncrementalState(caches, num_classes=3)
+        nearest = {name: rng.integers(0, 50, size=20) for name in ("a", "b")}
+        train_labels = rng.integers(0, 3, size=50)
+        test_labels = rng.integers(0, 3, size=20)
+        return IncrementalState(nearest, train_labels, test_labels, 3)
 
     def test_empty_caches_raise(self):
         with pytest.raises(DataValidationError):
-            IncrementalState({}, 3)
+            IncrementalState({}, np.zeros(3), np.zeros(1), 3)
 
     def test_estimates_match_cover_hart(self, state):
         estimates = state.estimates()
@@ -132,8 +128,8 @@ class TestCoverHartRoundTrip:
         nn = rng.integers(0, 30, size=10)
         train_labels = rng.integers(0, 2, size=30)
         test_labels = rng.integers(0, 2, size=10)
-        cache = NeighborCache(nn, train_labels, test_labels)
-        state = IncrementalState({"x": cache}, 2)
+        state = IncrementalState({"x": nn}, train_labels, test_labels, 2)
+        error = np.mean(train_labels[nn] != test_labels)
         assert state.estimates()["x"] == pytest.approx(
-            cover_hart_lower_bound(cache.error(), 2)
+            cover_hart_lower_bound(error, 2)
         )

@@ -153,6 +153,30 @@ class TestIncrementalState:
         _, after = state.ber_estimate()
         assert after < before
 
+    def test_states_are_independent(self, dataset, noisy_dataset, catalog):
+        system = Snoopy(catalog, SnoopyConfig(seed=0))
+        system.run(noisy_dataset, target_accuracy=0.9)
+        cleaned = system.incremental_state()
+        untouched = system.incremental_state()
+        before = untouched.estimates()
+        cleaned.apply_cleaning(
+            np.arange(noisy_dataset.num_train), dataset.train_y,
+            np.arange(noisy_dataset.num_test), dataset.test_y,
+        )
+        assert cleaned.estimates() != before
+        assert untouched.estimates() == before
+
+    def test_state_holds_only_pulled_arms(self, dataset, catalog):
+        name = catalog.names[-1]
+        system = Snoopy(
+            catalog,
+            SnoopyConfig(strategy="perfect", perfect_arm_name=name, seed=0),
+        )
+        report = system.run(dataset, target_accuracy=0.9)
+        state = system.incremental_state()
+        assert state.transform_names == [name]
+        assert state.ber_estimate() == (name, report.ber_estimate)
+
     def test_signal_flips_after_cleaning(self, dataset, noisy_dataset, catalog):
         system = Snoopy(catalog, SnoopyConfig(seed=0))
         report = system.run(noisy_dataset, target_accuracy=0.62)

@@ -97,16 +97,6 @@ class TestKernelConstruction:
 
 
 class TestFusedPrimitives:
-    def test_nearest_among_matches_dense(self, rng):
-        kernel = make_kernel("euclidean", rng.normal(size=(30, 5)), dtype=None)
-        other = rng.normal(size=(100, 5))
-        idx, cmp = kernel.nearest_among(other, block_size=7)
-        dense = euclidean_distances(kernel.bound, other)
-        np.testing.assert_array_equal(idx, np.argmin(dense, axis=1))
-        np.testing.assert_allclose(
-            kernel.to_distance(cmp), dense.min(axis=1), atol=1e-10
-        )
-
     def test_nearest_among_empty_other_raises(self, rng):
         kernel = make_kernel("euclidean", rng.normal(size=(3, 2)))
         with pytest.raises(DataValidationError):

@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.core.guidance import fit_log_linear
+from repro.core.incremental import IncrementalState
 from repro.estimators.cover_hart import cover_hart_lower_bound
 from repro.knn.brute_force import BruteForceKNN
-from repro.knn.incremental import NeighborCache
 from repro.knn.metrics import cosine_distances, euclidean_distances
 from repro.knn.progressive import ProgressiveOneNN
 from repro.noise.theory import (
@@ -186,14 +186,14 @@ class TestStreamingEquivalence:
         test_x = rng.normal(size=(15, 3))
         test_y = rng.integers(0, 3, 15)
         _, idx = BruteForceKNN().fit(train_x, train_y).kneighbors(test_x, k=1)
-        cache = NeighborCache(idx[:, 0], train_y, test_y)
+        state = IncrementalState({"x": idx[:, 0]}, train_y, test_y, 3)
         flip = rng.choice(60, size=10, replace=False)
         new_labels = rng.integers(0, 3, 10)
-        cache.update_train_labels(flip, new_labels)
+        state.apply_cleaning(flip, new_labels, [], [])
         modified = train_y.copy()
         modified[flip] = new_labels
         expected = BruteForceKNN().fit(train_x, modified).error(test_x, test_y)
-        assert cache.error() == pytest.approx(expected)
+        assert state.errors()["x"] == pytest.approx(expected)
 
 
 class TestLogLinearFitProperties:

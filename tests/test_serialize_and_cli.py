@@ -208,6 +208,29 @@ class TestCLI:
         assert "cleaning loop" in out
         assert "expensive run(s)" in out
 
+    @pytest.mark.parametrize(
+        ("cache_mb", "built"), [("0", []), ("64", [64 * 2**20])]
+    )
+    def test_clean_loop_store_follows_the_cache_flag(
+        self, cache_mb, built, monkeypatch, capsys
+    ):
+        from repro.transforms.store import EmbeddingStore
+
+        sizes = []
+        init = EmbeddingStore.__init__
+
+        def recording_init(store, *args, **kwargs):
+            init(store, *args, **kwargs)
+            sizes.append(store.max_bytes)
+
+        monkeypatch.setattr(EmbeddingStore, "__init__", recording_init)
+        assert main([
+            "clean-loop", "cifar10", "--target", "0.7", "--noise", "0.4",
+            "--scale", "0.005", "--regime", "free", "--step", "0.25",
+            "--embedding-cache-mb", cache_mb,
+        ]) == 0
+        assert sizes == built
+
     def test_study_with_store_dir_warm_starts(self, tmp_path, capsys):
         store = str(tmp_path / "store")
         args = [

@@ -11,10 +11,7 @@ import pytest
 
 from repro.exceptions import DataValidationError
 from repro.transforms.linear import IdentityTransform, PCATransform
-from repro.transforms.store import (
-    EmbeddingStore,
-    embed_or_transform,
-)
+from repro.transforms.store import EmbeddingStore
 
 
 class CountingTransform(IdentityTransform):
@@ -428,16 +425,3 @@ class TestThreadSafety:
         assert store.stats.current_bytes <= store.max_bytes
         assert store.stats.evictions > 0
 
-
-class TestEmbedOrTransform:
-    def test_without_store_delegates(self, data, transform):
-        out = embed_or_transform(None, transform, data)
-        np.testing.assert_array_equal(out, data)
-        assert transform.calls == 1
-
-    def test_with_store_memoizes(self, data, transform):
-        store = EmbeddingStore(block_rows=64)
-        embed_or_transform(store, transform, data)
-        transform.calls = 0
-        embed_or_transform(store, transform, data)
-        assert transform.calls == 0
