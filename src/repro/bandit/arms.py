@@ -36,7 +36,11 @@ class TransformationArm:
         The training split this arm's pool is drawn from.  The arm
         keeps references, not copies, and only reads them.
     test_x, test_y:
-        Test split; embedded once, up front (test sets are small).
+        Test split; embedded once, up front.  Through a ``store`` of
+        the arm's ``dtype`` the evaluator binds the read-only array the
+        store returns instead of copying it; on a cold store that array
+        is a view of the run the hot tier holds, so the arm and the
+        store share one copy of the embedded test set.
     metric:
         Distance metric for the exact 1NN evaluator.
     store:

@@ -86,8 +86,10 @@ class SnoopyConfig:
         streams the exact 1NN error through
         :class:`~repro.knn.progressive.ProgressiveOneNN`.
     perfect_arm_name:
-        Required when ``strategy == "perfect"``: evaluate only this arm
-        (the oracle lower-bound strategy of Figure 12).
+        Required when ``strategy == "perfect"``: build and evaluate only
+        this arm (the oracle lower-bound strategy of Figure 12).  A name
+        not in the catalog raises before any transform is fitted or
+        run.
     seed:
         Seed of the training-pool permutation that every arm reads its
         pulls from; ``None`` draws fresh entropy.
@@ -231,9 +233,19 @@ class Snoopy:
             )
         started = time.perf_counter()
         config = self.config
+        transforms = self.catalog
+        if config.strategy == "perfect":
+            # The oracle evaluates one known transform: build only its arm.
+            transforms = [
+                t for t in self.catalog if t.name == config.perfect_arm_name
+            ][:1]
+            if not transforms:
+                raise DataValidationError(
+                    f"perfect_arm_name {config.perfect_arm_name!r} not in catalog"
+                )
         order = ensure_rng(config.seed).permutation(dataset.num_train)
         arms = build_arms(
-            self.catalog,
+            transforms,
             dataset,
             order,
             metric=self._resolve_metric(dataset),
@@ -327,14 +339,8 @@ class Snoopy:
                 samples_per_arm={arm.name: arm.samples_used for arm in arms},
             )
         elif config.strategy == "perfect":
-            winner = next(
-                (arm for arm in arms if arm.name == config.perfect_arm_name),
-                None,
-            )
-            if winner is None:
-                raise DataValidationError(
-                    f"perfect_arm_name {config.perfect_arm_name!r} not in catalog"
-                )
+            # run() built the one arm the oracle names.
+            (winner,) = arms
             winner.exhaust(pull_size)
             selection = SelectionResult(
                 winner=winner,

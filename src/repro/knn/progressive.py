@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.exceptions import DataValidationError
-from repro.knn.kernels import make_kernel
+from repro.knn.kernels import make_kernel, resolve_dtype
 
 
 @dataclass(frozen=True)
@@ -57,6 +57,15 @@ class ProgressiveOneNN:
         Compute dtype for the distance arithmetic ("float32" or
         "float64"); ``None`` (default) keeps the strict ``float64``
         path.
+
+    A caller's later writes to its arrays never change the errors.  The
+    evaluator binds ``test_x`` itself when nothing can write it: a
+    C-contiguous array already in the compute dtype that is read-only
+    along its whole ``.base`` chain, such as an
+    :class:`~repro.transforms.store.EmbeddingStore` run, so an arm and
+    the store hold one copy of the embedded test set.  Any other
+    ``test_x`` is copied once, cast straight to the compute dtype.
+    ``test_y`` is always copied.
     """
 
     def __init__(
@@ -66,10 +75,15 @@ class ProgressiveOneNN:
         metric: str = "euclidean",
         dtype=None,
     ):
-        # np.array (not asarray): the evaluator owns private copies, so a
-        # caller mutating its arrays later cannot change the errors.
-        # (A float32 kernel also copies on cast; float64 relies on this.)
-        test_x = np.array(test_x, dtype=np.float64)
+        # Bind test_x itself only if nothing can write it (see above).
+        compute = resolve_dtype(dtype)
+        if not (
+            isinstance(test_x, np.ndarray)
+            and test_x.dtype == compute
+            and test_x.flags.c_contiguous
+            and _frozen(test_x)
+        ):
+            test_x = np.array(test_x, dtype=compute, order="C")
         test_y = np.array(test_y, dtype=np.int64)
         if test_x.ndim != 2:
             raise DataValidationError(f"test_x must be 2-D, got {test_x.shape}")
@@ -154,3 +168,17 @@ class ProgressiveOneNN:
         sizes = np.array([p.train_size for p in self.curve], dtype=np.int64)
         errors = np.array([p.error for p in self.curve])
         return sizes, errors
+
+
+def _frozen(array: np.ndarray) -> bool:
+    """Whether nothing can write ``array``'s memory.
+
+    True when ``array`` and every array along its ``.base`` chain are
+    read-only, and the chain ends at an array that owns its memory or at
+    an immutable ``bytes`` buffer (a spill-tier read).
+    """
+    while isinstance(array, np.ndarray):
+        if array.flags.writeable:
+            return False
+        array = array.base
+    return array is None or isinstance(array, bytes)

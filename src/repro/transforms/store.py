@@ -37,6 +37,17 @@ Design
   The hot tier counts the buffers its blocks keep alive: blocks cut
   from one transform run are views of the run's output, which counts
   once and is freed only when its last block leaves.
+- **Read-only, shared outputs.**  Each transform run's output buffer is
+  marked read-only, and so is every array the store returns.  A request
+  whose blocks all come from one run is served as a view of that run's
+  buffer, so a caller that keeps it (an arm's 1NN evaluator binding the
+  embedded test set) shares the memory the hot tier holds instead of
+  copying it.  A pass-through run, which shares memory with its source,
+  is copied once, so freezing it never freezes the caller's array.
+- **Memory goes back when the store does.**  The store's weakref
+  callbacks hold it weakly, so a dropped store is freed at once rather
+  than by the cyclic collector, and closing a store that held a large
+  hot tier hands the heap pages it leaves free back to the OS.
 - **Permuted sources without a permuted copy.**  A caller that reads a
   matrix in another row order passes the matrix and the ``order``;
   logical row ``i`` is ``source[order[i]]``, gathered one block at a
@@ -80,6 +91,13 @@ DEFAULT_SPILL_BYTES = 2**30
 
 #: Default rows per cached block; requests are rounded out to blocks.
 DEFAULT_BLOCK_ROWS = 256
+
+#: Closing a store whose hot tier held at least this many bytes hands
+#: the heap's free pages back to the OS.  Below it, the next study
+#: faulting those pages in again costs more than the trim saves:
+#: trimming at every close slowed study-warm's ops, whose hot tier holds
+#: 8 MiB, by 8-10 ms.
+_TRIM_BYTES = 16 * 2**20
 
 _SPILL_MAGIC = b"RPROSPL1"
 _SPILL_SUFFIX = ".blk"
@@ -387,9 +405,11 @@ class EmbeddingStore:
         materialized; blocks, their ids and the output equal those of
         ``embed_rows(transform, source[order], start, stop)``.
 
-        The returned array must be treated as read-only: single-block
-        requests are served as views of cached blocks (multi-block
-        requests concatenate, which copies).
+        Every returned array is read-only.  A request whose blocks all
+        come from one transform run is served as a view of that run's
+        buffer, which the hot tier's blocks view too; a single-block
+        request is a view of its block, and any other request is a
+        concatenation.
         """
         source = self._check_source(transform, source)
         if order is not None:
@@ -403,7 +423,9 @@ class EmbeddingStore:
                 f"{num_rows} rows"
             )
         if stop == start:
-            return np.empty((0, transform.output_dim), dtype=self._block_dtype)
+            return _read_only(
+                np.empty((0, transform.output_dim), dtype=self._block_dtype)
+            )
         token = self._transform_token(transform)
         # A session token names nothing on disk: a store opened later
         # restarts the counter behind it.
@@ -449,28 +471,31 @@ class EmbeddingStore:
         for run_start, run_stop in _contiguous_runs(missing):
             lo = run_start * block_size
             hi = min(run_stop * block_size, num_rows)
-            embedded = np.asarray(
+            embedded = np.ascontiguousarray(
                 transform.transform(take_rows(source, order, lo, hi)),
                 dtype=self._block_dtype,
             )
+            if np.may_share_memory(embedded, source):
+                # Pass-through transforms (identity) return views of the
+                # source; keep an independent copy of the run, so caller
+                # mutations can't corrupt it (or be frozen below).
+                embedded = embedded.copy()
+            _read_only(embedded)
             for block in range(run_start, run_stop):
-                piece = np.ascontiguousarray(
-                    embedded[block * block_size - lo : (block + 1) * block_size - lo]
-                )
-                if np.may_share_memory(piece, source):
-                    # Pass-through transforms (identity) return views of
-                    # the source; cache an independent copy so caller
-                    # mutations can't corrupt it (or be frozen by the
-                    # read-only flag below).
-                    piece = piece.copy()
-                piece.setflags(write=False)
-                pieces[block] = piece
+                pieces[block] = embedded[
+                    block * block_size - lo : (block + 1) * block_size - lo
+                ]
         if missing:
             with self._lock:
                 for block in missing:
                     pieces[block] = self._insert_hot(
                         keys[block], pieces[block], write_through=spill
                     )
+        if len(missing) == last - first + 1:
+            # Every block came from the one run just embedded: serve a
+            # view of its buffer, which the hot blocks share.
+            lo = first * block_size
+            return embedded[start - lo : stop - lo]
         parts = []
         for block in range(first, last + 1):
             lo = block * block_size
@@ -479,21 +504,27 @@ class EmbeddingStore:
             parts.append(pieces[block][a:b])
         if len(parts) == 1:
             return parts[0]
-        return np.concatenate(parts, axis=0)
+        return _read_only(np.concatenate(parts, axis=0))
 
     def close(self) -> None:
         """Drop all hot blocks and digest caches; idempotent.
 
-        Counters are kept.  The spill tier is left in place — it is the
-        persistence medium; use :func:`clear_spill_dir` (CLI: ``repro
-        store clear``) to prune it.
+        When the hot tier held at least :data:`_TRIM_BYTES`, the heap
+        pages left free go back to the OS (glibc's ``malloc_trim``), so
+        a long-lived process does not stay at the resident size of its
+        largest study.  Counters are kept.  The
+        spill tier is left in place — it is the persistence medium; use
+        :func:`clear_spill_dir` (CLI: ``repro store clear``) to prune it.
         """
         with self._lock:
+            dropped = self._bytes
             self._blocks.clear()
             self._owners.clear()
             self._bytes = 0
             self._digests.clear()
             self._digest_refs.clear()
+        if dropped >= _TRIM_BYTES:
+            _release_free_heap()
 
     def __enter__(self) -> "EmbeddingStore":
         return self
@@ -685,10 +716,7 @@ class EmbeddingStore:
                 token = self._derive_token(transform)
                 self._tokens[key] = token
                 self._token_refs[key] = weakref.ref(
-                    transform,
-                    lambda _ref, key=key, token=token: self._drop_token(
-                        key, token
-                    ),
+                    transform, _weak_call(self._drop_token, key, token)
                 )
             return token
 
@@ -753,7 +781,7 @@ class EmbeddingStore:
                 check_order(order, len(source))
                 arrays = (source, order)
             self._digest_refs[key] = tuple(
-                weakref.ref(array, lambda _ref: self._drop_digests(key))
+                weakref.ref(array, _weak_call(self._drop_digests, key))
                 for array in arrays
             )
             digests = self._digests[key] = {}
@@ -805,6 +833,47 @@ def take_rows(
     if order is None:
         return source[start:stop]
     return source[order[start:stop]]
+
+
+def _weak_call(method, *args):
+    """A weakref callback that calls ``method(*args)`` while its object lives.
+
+    A callback holding the store strongly would put the store in a
+    reference cycle with its own weakrefs, freed only by the cyclic
+    collector; this one lets the store go as soon as its owner does.
+    """
+    method = weakref.WeakMethod(method)
+
+    def callback(_ref):
+        bound = method()
+        if bound is not None:
+            bound(*args)
+
+    return callback
+
+
+def _release_free_heap() -> None:
+    """Hand the C heap's free pages back to the OS, where libc can.
+
+    Hot blocks are heap allocations.  Once they are dropped, small
+    long-lived allocations made while they were live can pin the heap's
+    top, and glibc keeps everything below resident; ``malloc_trim``
+    releases those pages.  Other C libraries lack it, and this is a
+    no-op there.
+    """
+    import ctypes
+
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return
+    trim(0)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """Mark ``array`` read-only and return it."""
+    array.setflags(write=False)
+    return array
 
 
 def _owner(array: np.ndarray) -> np.ndarray:

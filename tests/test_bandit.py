@@ -160,6 +160,31 @@ class TestArms:
         assert peak < pool.train_x.nbytes / 2
         assert all(arm._train_x is pool.train_x for arm in arms)
 
+    def test_build_arms_holds_each_test_embedding_once(self):
+        rng = np.random.default_rng(0)
+        pool = Dataset(
+            "pool", rng.normal(size=(200, 64)), rng.integers(0, 2, 200),
+            rng.normal(size=(4000, 64)), rng.integers(0, 2, 4000),
+            num_classes=2,
+        )
+        transforms = [
+            PCATransform(dim).fit(pool.train_x) for dim in (32, 48)
+        ]
+        embeddings = sum(4 * pool.num_test * t.output_dim for t in transforms)
+        tracemalloc.start()
+        try:
+            arms = build_arms(
+                transforms, pool, _order(pool, 0),
+                store=EmbeddingStore(dtype="float32"), dtype="float32",
+            )
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The store's hot blocks and each arm's evaluator share one
+        # buffer; a private copy per evaluator would double it.
+        assert held < 1.5 * embeddings
+        assert len(arms) == 2
+
     def test_unfitted_transforms_fit_on_one_permuted_pool(self, dataset):
         seen = []
 

@@ -7,6 +7,7 @@ from repro.core.result import FeasibilitySignal
 from repro.core.snoopy import Snoopy, SnoopyConfig
 from repro.exceptions import DataValidationError
 from repro.noise.models import inject_uniform_noise
+from repro.transforms.linear import PCATransform
 
 
 @pytest.fixture()
@@ -119,6 +120,34 @@ class TestStrategies:
         config = SnoopyConfig(strategy="perfect", perfect_arm_name="nope")
         with pytest.raises(DataValidationError):
             Snoopy(catalog, config).run(dataset, target_accuracy=0.6)
+
+    def test_perfect_bills_only_its_arm(self, dataset, catalog):
+        """No other arm is built, so none bills its test-set inference."""
+        config = SnoopyConfig(
+            strategy="perfect", perfect_arm_name="emb_high", seed=0
+        )
+        report = Snoopy(catalog, config).run(dataset, target_accuracy=0.6)
+        (row,) = report.per_transform
+        assert row.sim_cost_seconds > 0
+        assert report.total_sim_cost_seconds == row.sim_cost_seconds
+
+    def test_perfect_unknown_arm_raises_before_any_transform(
+        self, dataset, monkeypatch
+    ):
+        calls = []
+        for method in ("fit", "transform"):
+            original = getattr(PCATransform, method)
+
+            def counting(self, x, _original=original, _method=method):
+                calls.append(_method)
+                return _original(self, x)
+
+            monkeypatch.setattr(PCATransform, method, counting)
+        catalog = [PCATransform(4), PCATransform(8)]
+        config = SnoopyConfig(strategy="perfect", perfect_arm_name="nope")
+        with pytest.raises(DataValidationError, match="not in catalog"):
+            Snoopy(catalog, config).run(dataset, target_accuracy=0.6)
+        assert calls == []
 
     def test_deterministic_given_seed(self, dataset, catalog):
         a = Snoopy(catalog, SnoopyConfig(seed=5)).run(dataset, 0.6)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.exceptions import DataValidationError
 from repro.knn.brute_force import BruteForceKNN
+from repro.knn.kernels import resolve_dtype
 from repro.knn.progressive import CurvePoint, ProgressiveOneNN
 
 
@@ -95,3 +96,42 @@ class TestCurve:
         last = evaluator.partial_fit(train_x[10:], train_y[10:])
         assert last <= first + 1e-12
 
+
+
+def _errors(evaluator, train_x, train_y):
+    """The evaluator's errors after each of three training batches."""
+    return [
+        evaluator.partial_fit(train_x[lo : lo + 70], train_y[lo : lo + 70])
+        for lo in (0, 70, 140)
+    ]
+
+
+class TestOwnership:
+    """The evaluator shares a test set nothing can write; copies any other."""
+
+    @pytest.mark.parametrize("dtype", [None, "float32"])
+    def test_binds_read_only_input_in_compute_dtype(self, data, dtype):
+        _, _, test_x, test_y = data
+        frozen = test_x.astype(resolve_dtype(dtype))
+        frozen.setflags(write=False)
+        evaluator = ProgressiveOneNN(frozen, test_y, dtype=dtype)
+        assert np.shares_memory(evaluator._test_x, frozen)
+
+    @pytest.mark.parametrize("dtype", [None, "float32"])
+    @pytest.mark.parametrize("read_only_view", [False, True])
+    def test_copies_what_could_still_be_written(
+        self, data, dtype, read_only_view
+    ):
+        train_x, train_y, test_x, test_y = data
+        base = test_x.astype(resolve_dtype(dtype))
+        source = base
+        if read_only_view:
+            source = base[:]
+            source.setflags(write=False)
+        evaluator = ProgressiveOneNN(source, test_y, dtype=dtype)
+        assert not np.shares_memory(evaluator._test_x, base)
+        reference = ProgressiveOneNN(base.copy(), test_y, dtype=dtype)
+        base *= -3.0
+        assert _errors(evaluator, train_x, train_y) == _errors(
+            reference, train_x, train_y
+        )

@@ -10,7 +10,7 @@ from repro.knn.progressive import ProgressiveOneNN
 
 
 class TestProgressiveAliasing:
-    """The evaluator owns private copies of the caller's test arrays."""
+    """The evaluator copies test arrays its caller can still write."""
 
     def test_test_arrays_are_private_copies(self, rng):
         test_x = rng.normal(size=(8, 2))

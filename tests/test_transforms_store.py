@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import DataValidationError
+from repro.knn.kernels import resolve_dtype
 from repro.transforms.linear import IdentityTransform, PCATransform
 from repro.transforms.store import EmbeddingStore
 
@@ -61,6 +62,7 @@ class TestEmbedExactness:
         store = EmbeddingStore(block_rows=64)
         out = store.embed_rows(transform, data, 10, 10)
         assert out.shape == (0, transform.output_dim)
+        assert not out.flags.writeable
 
     def test_invalid_range_raises(self, data, transform):
         store = EmbeddingStore(block_rows=64)
@@ -259,6 +261,24 @@ class TestLifecycle:
         assert len(store) == 0
         assert store.stats.current_bytes == 0
 
+    def test_dropped_store_needs_no_cyclic_collection(self, data, rng):
+        """No reference cycle keeps a dropped store, or its blocks, alive."""
+        store = EmbeddingStore(block_rows=64)
+        transform = CountingTransform(6).fit(data)
+        order = rng.permutation(len(data))
+        store.embed_rows(transform, data, 0, len(data), order=order)
+        dead = weakref.ref(store)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del store
+            assert dead() is None
+        finally:
+            if enabled:
+                gc.enable()
+        del transform, order  # their callbacks find no store: a no-op
+        gc.collect()
+
     def test_recycled_transform_id_cannot_alias(self, data):
         """A new transform never inherits a dead transform's blocks."""
         store = EmbeddingStore(block_rows=64)
@@ -349,6 +369,79 @@ class TestOutputSafety:
         out = store.embed(transform, data)
         with pytest.raises(ValueError):
             out[0, 0] = 42.0
+
+
+class Affine(IdentityTransform):
+    """Element-wise, so a row's output never depends on its batch."""
+
+    def transform(self, x):
+        return 0.5 * super().transform(x) - 1.0
+
+
+class TestReturnedArrays:
+    """Every array ``embed_rows`` returns is read-only and exact.
+
+    Each request shape runs through a pass-through transform on a
+    float64 store (its run shares memory with the source) and through an
+    element-wise transform on a float32 store, reading an ``order``.
+    """
+
+    @pytest.fixture(params=["pass-through", "ordered-float32"])
+    def case(self, request, data, rng):
+        if request.param == "pass-through":
+            return lambda: CountingTransform(6).fit(data), None, None
+        order = rng.permutation(len(data))
+        return lambda: Affine(6).fit(data), "float32", order
+
+    @staticmethod
+    def _check(out, transform, data, case, start, stop):
+        _, dtype, order = case
+        rows = data if order is None else data[order]
+        expected = np.asarray(
+            transform.transform(rows[start:stop]), dtype=resolve_dtype(dtype)
+        )
+        assert not out.flags.writeable
+        assert out.dtype == expected.dtype
+        np.testing.assert_array_equal(out, expected)
+
+    def test_one_block(self, data, case):
+        make, dtype, order = case
+        transform = make()
+        store = EmbeddingStore(block_rows=64, dtype=dtype)
+        out = store.embed_rows(transform, data, 70, 100, order=order)
+        self._check(out, transform, data, case, 70, 100)
+
+    def test_one_run_is_a_view_its_hot_blocks_share(self, data, case):
+        make, dtype, order = case
+        transform = make()
+        store = EmbeddingStore(block_rows=64, dtype=dtype)
+        out = store.embed_rows(transform, data, 10, 200, order=order)
+        assert store.stats.misses == 4
+        assert any(
+            np.shares_memory(out, block) for block in store._blocks.values()
+        )
+        self._check(out, transform, data, case, 10, 200)
+
+    def test_hits_mixed_with_a_fresh_run(self, data, case):
+        make, dtype, order = case
+        transform = make()
+        store = EmbeddingStore(block_rows=64, dtype=dtype)
+        store.embed_rows(transform, data, 64, 128, order=order)
+        out = store.embed_rows(transform, data, 10, 250, order=order)
+        assert (store.stats.hits, store.stats.misses) == (1, 4)
+        self._check(out, transform, data, case, 10, 250)
+
+    def test_spill_promoted_blocks(self, tmp_path, data, case):
+        make, dtype, order = case
+        with EmbeddingStore(
+            block_rows=64, dtype=dtype, store_dir=tmp_path
+        ) as store:
+            store.embed_rows(make(), data, 0, len(data), order=order)
+        transform = make()
+        store = EmbeddingStore(block_rows=64, dtype=dtype, store_dir=tmp_path)
+        out = store.embed_rows(transform, data, 10, 250, order=order)
+        assert (store.stats.spill_hits, store.stats.misses) == (4, 0)
+        self._check(out, transform, data, case, 10, 250)
 
 
 class TestThreadSafety:
