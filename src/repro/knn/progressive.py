@@ -58,14 +58,16 @@ class ProgressiveOneNN:
         "float64"); ``None`` (default) keeps the strict ``float64``
         path.
 
-    A caller's later writes to its arrays never change the errors.  The
-    evaluator binds ``test_x`` itself when nothing can write it: a
-    C-contiguous array already in the compute dtype that is read-only
-    along its whole ``.base`` chain, such as an
+    The evaluator binds ``test_x`` itself when it is a C-contiguous
+    array already in the compute dtype and read-only along its whole
+    ``.base`` chain, such as an
     :class:`~repro.transforms.store.EmbeddingStore` run, so an arm and
-    the store hold one copy of the embedded test set.  Any other
-    ``test_x`` is copied once, cast straight to the compute dtype.
-    ``test_y`` is always copied.
+    the store hold one copy of the embedded test set.  Such an array
+    must stay read-only: numpy lets the owner of an array switch writes
+    back on, so a caller that may do that passes a copy.  Any other
+    ``test_x`` is copied once, cast straight to the compute dtype, and
+    later writes to it never change the errors.  ``test_y`` is always
+    copied.
     """
 
     def __init__(
@@ -75,7 +77,7 @@ class ProgressiveOneNN:
         metric: str = "euclidean",
         dtype=None,
     ):
-        # Bind test_x itself only if nothing can write it (see above).
+        # Bind test_x itself only if it is read-only all the way down.
         compute = resolve_dtype(dtype)
         if not (
             isinstance(test_x, np.ndarray)
@@ -171,11 +173,12 @@ class ProgressiveOneNN:
 
 
 def _frozen(array: np.ndarray) -> bool:
-    """Whether nothing can write ``array``'s memory.
+    """Whether ``array`` is read-only all the way down.
 
     True when ``array`` and every array along its ``.base`` chain are
     read-only, and the chain ends at an array that owns its memory or at
-    an immutable ``bytes`` buffer (a spill-tier read).
+    an immutable ``bytes`` buffer (a spill-tier read).  The owner of an
+    array can still switch its writes back on; see the class docstring.
     """
     while isinstance(array, np.ndarray):
         if array.flags.writeable:

@@ -107,7 +107,8 @@ def _errors(evaluator, train_x, train_y):
 
 
 class TestOwnership:
-    """The evaluator shares a test set nothing can write; copies any other."""
+    """The evaluator shares a test set that is read-only all the way down;
+    it copies any other."""
 
     @pytest.mark.parametrize("dtype", [None, "float32"])
     def test_binds_read_only_input_in_compute_dtype(self, data, dtype):

@@ -11,6 +11,7 @@ import pytest
 
 from repro.exceptions import DataValidationError
 from repro.knn.kernels import resolve_dtype
+from repro.transforms import store as store_module
 from repro.transforms.linear import IdentityTransform, PCATransform
 from repro.transforms.store import EmbeddingStore
 
@@ -278,6 +279,31 @@ class TestLifecycle:
                 gc.enable()
         del transform, order  # their callbacks find no store: a no-op
         gc.collect()
+
+    @pytest.mark.parametrize("spare_blocks, trims", [(0, True), (1, False)])
+    def test_close_releases_the_heap_after_a_large_hot_tier(
+        self, monkeypatch, spare_blocks, trims
+    ):
+        """A hot tier of ``_TRIM_BYTES`` trims at close; one block less
+        does not, and neither does a second close."""
+        calls = []
+        monkeypatch.setattr(
+            store_module, "_release_free_heap", lambda: calls.append(1)
+        )
+        block_rows, dim = 4096, 64
+        rows = store_module._TRIM_BYTES // (dim * 4) - spare_blocks * block_rows
+        source = np.zeros((rows, dim), dtype=np.float32)
+        store = EmbeddingStore(dtype="float32", block_rows=block_rows)
+        transform = IdentityTransform(dim).fit(source[:1])
+        store.embed(transform, source)
+        assert store.stats.current_bytes == source.nbytes
+        store.close()
+        store.close()
+        assert calls == ([1] if trims else [])
+
+    def test_release_free_heap_is_safe_to_call(self):
+        # glibc trims; a C library without malloc_trim makes it a no-op.
+        store_module._release_free_heap()
 
     def test_recycled_transform_id_cannot_alias(self, data):
         """A new transform never inherits a dead transform's blocks."""
